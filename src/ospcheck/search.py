@@ -9,18 +9,45 @@ the walk is exhaustive, duplicate-free up to message relabeling, and
 deterministic, so a "no counterexample" verdict is a statement about the
 whole class.
 
-With pruning enabled, a partial tree is abandoned as soon as a pair of
-already-placed leaves certifies that no completion can be obviously
-strategy-proof (the bad-leaf/good-leaf consequence), or as soon as a leaf
-would violate individual rationality or charge a negative payment for a
-profile that realizes it.  Both cuts only remove trees the final property
-checks would reject, so pruned and unpruned scans reach the same verdict.
+``falsify_impossibility`` counts the class by equivalence class instead of
+building its members (``_Aggregator``).  Leaves whose payments would break
+individual rationality or charge a negative payment on a profile reaching
+them are never generated.  Bottom-up over positions (the players'
+consistent sets), every subtree is summarized by the utilities that the
+bad-leaf/good-leaf consequence of obvious strategy-proofness compares: per
+player and valuation, the minimum utility over the leaves that valuation can
+reach (rmin) and the maximum over all leaves (emax).  Under a node where
+player j speaks, children are joined only when, for each of j's valuations,
+the rmin of its own child is at least the emax of every sibling; that is the
+obvious strategy-proofness condition at that node.  Profiles covered by
+siblings are disjoint, so the count of a joined class is the product of its
+parts.
+
+Two reductions keep the join small:
+
+* The class key holds no row for a player whose consistent set is still
+  full.  A row is read only by an ancestor where its player speaks, and then
+  in a child where that player's set is a proper block; sets only shrink
+  downward, so a player with a full set has not spoken above, and no
+  ancestor can read the row.  Dropping it merges exactly the classes that no
+  later comparison can tell apart, so every count is unchanged.
+* Compatibility is a dominance test per valuation.  Each child class list
+  gets, per speaker, threshold tables of bitsets (Python ints) over emax and
+  rmin, and a child's candidate set is the AND of one lookup per valuation
+  of the blocks involved, visited lowest bit first.
+
+Classes are kept in first-encounter order, so the stored representative of
+each class is its first member in stream order, and the first counterexample
+is the one the member-by-member stream (``prune=False``, judged by the
+ordinary property checkers) finds.  That stream is the reference the tests
+compare the aggregated scan against.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -422,8 +449,15 @@ class _Aggregator:
     class is kept so a counterexample can still be materialized.
 
     Class entry layout: (summary, flags, count, descriptor) where summary is
-    a per-player tuple of (rmin, emax) pairs and flags is (beats_target,
-    beats_minmn, low_bound_violation, square_bound_violation).
+    a per-player tuple of rows and flags is (beats_target, beats_minmn,
+    low_bound_violation, square_bound_violation).  A player's row holds one
+    (rmin, emax) pair per valuation, except that it is empty while the
+    player's consistent set is still full: such a player has not spoken on
+    the path from the root, so no ancestor ever compares that row.
+
+    Each memo entry is (classes, join_index), where join_index maps a
+    speaker to the bitset tables ``_combine`` uses when that list is joined
+    as a child of a node where the speaker speaks.
     """
 
     def __init__(self, engine: _Engine, t_num: int, t_den: int, deadline=None,
@@ -435,6 +469,7 @@ class _Aggregator:
         self.deadline = deadline
         self.beating_only = beating_only
         self.audit_profiles = _mu_audit_profiles(engine)
+        self.full = engine.root_masks()
         self.memo: dict = {}
         self.work = 0
 
@@ -476,6 +511,9 @@ class _Aggregator:
         e = self.e
         out = []
         for j in range(e.n):
+            if masks[j] == self.full[j]:
+                out.append(())
+                continue
             pay = pays[j]
             row = []
             for vi in range(e.sizes[j]):
@@ -487,7 +525,8 @@ class _Aggregator:
 
     # -- composition ------------------------------------------------------
 
-    def classes(self, masks: tuple, depth: int) -> list:
+    def classes(self, masks: tuple, depth: int) -> tuple:
+        """Memo entry (classes, join_index) for every subtree at ``masks``."""
         # beyond full refinement of every consistent set, extra depth adds
         # no trees; collapsing the key avoids recomputing identical lists
         refinement = sum(max(bin(m).count("1") - 1, 0) for m in masks)
@@ -495,6 +534,8 @@ class _Aggregator:
         got = self.memo.get(key)
         if got is not None:
             return got
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            raise _BudgetExceeded
         e = self.e
         table: dict = {}
         order: list = []
@@ -523,79 +564,134 @@ class _Aggregator:
                 if bin(masks[j]).count("1") < 2:
                     continue
                 for blocks in e._mask_partitions(masks[j]):
-                    child_lists = [
+                    children = [
                         self.classes(masks[:j] + (block,) + masks[j + 1:], depth - 1)
                         for block in blocks
                     ]
-                    self._combine(j, blocks, child_lists, masks, insert)
+                    self._combine(j, blocks, children, masks, insert)
         # first-encounter order makes the stored representative of each class
         # the stream-first member, so counterexamples match the raw stream
-        got = [tuple(table[k]) for k in order]
+        got = ([tuple(table[k]) for k in order], {})
         self.memo[key] = got
         return got
 
-    def _compatible(self, j: int, block_a: int, sum_a, block_b: int, sum_b) -> bool:
-        row_a, row_b = sum_a[j], sum_b[j]
-        size = len(row_a)
-        for vi in range(size):
-            if block_a >> vi & 1 and row_a[vi][0] < row_b[vi][1]:
-                return False
-            if block_b >> vi & 1 and row_b[vi][0] < row_a[vi][1]:
-                return False
-        return True
+    def _join_index(self, child: tuple, j: int) -> tuple:
+        """(by_emax, by_neg_rmin): per valuation of speaker ``j``, tables for
+        ``_at_most`` over the child's classes by emax and by negated rmin."""
+        classes, join_index = child
+        got = join_index.get(j)
+        if got is None:
+            valuations = range(self.e.sizes[j])
+            got = join_index[j] = (
+                [_threshold_table([c[0][j][vi][1] for c in classes]) for vi in valuations],
+                [_threshold_table([-c[0][j][vi][0] for c in classes]) for vi in valuations],
+            )
+        return got
 
-    def _merge(self, j: int, blocks: tuple, parts: list) -> tuple:
-        e = self.e
+    def _merge(self, j: int, owner: list, parts: list, masks: tuple) -> tuple:
+        """Summary of a node where ``j`` speaks; ``owner[vi]`` is the index of
+        the part whose block holds ``j``'s valuation vi, or None."""
         out = []
-        for jj in range(e.n):
+        for jj, rows in enumerate(zip(*parts)):
+            if masks[jj] == self.full[jj]:
+                out.append(())
+                continue
             row = []
-            for vi in range(e.sizes[jj]):
-                emax = max(part[jj][vi][1] for part in parts)
+            for vi, pairs in enumerate(zip(*rows)):
+                rmins, emaxs = zip(*pairs)
                 if jj == j:
-                    owner = next(t for t, b in enumerate(blocks) if b >> vi & 1) if any(
-                        b >> vi & 1 for b in blocks
-                    ) else None
-                    rmin = parts[owner][jj][vi][0] if owner is not None else _BIG
+                    rmin = _BIG if owner[vi] is None else rmins[owner[vi]]
                 else:
-                    rmin = min(part[jj][vi][0] for part in parts)
-                row.append((rmin, emax))
+                    rmin = min(rmins)
+                row.append((rmin, max(emaxs)))
             out.append(tuple(row))
         return tuple(out)
 
-    def _combine(self, j: int, blocks: tuple, child_lists: list, masks: tuple, insert) -> None:
+    def _combine(self, j: int, blocks: tuple, children: list, masks: tuple, insert) -> None:
+        """Insert every compatible choice of one class per child, in stream order.
+
+        Siblings s < t are compatible when, for speaker ``j``, child t's emax
+        stays at most child s's rmin on s's block and child t's rmin stays at
+        least child s's emax on t's block.  Choosing a class at level s
+        narrows each later level's candidate bitset by one table lookup per
+        valuation of both blocks; candidates are then visited lowest bit
+        first, which is list order.
+        """
+        lists = [child[0] for child in children]
+        indexes = [self._join_index(child, j) for child in children]
+        size = self.e.sizes[j]
+        members = [[vi for vi in range(size) if b >> vi & 1] for b in blocks]
+        owner = [next((t for t, b in enumerate(blocks) if b >> vi & 1), None)
+                 for vi in range(size)]
+        last = len(blocks)
         chosen: list = []
 
-        def rec(t: int) -> None:
+        # allowed[k] is the candidate bitset of level t + k given chosen[:t]
+        def rec(t: int, allowed: tuple) -> None:
             self.work += 1
             if self.deadline is not None and not self.work & 0xFFF:
-                if time.monotonic() > self.deadline:
+                if time.monotonic() >= self.deadline:
                     raise _BudgetExceeded
-            if t == len(blocks):
-                summary = self._merge(j, blocks, [c[0] for c in chosen])
-                flags = (
-                    all(c[1][0] for c in chosen),
-                    all(c[1][1] for c in chosen),
-                    any(c[1][2] for c in chosen),
-                    any(c[1][3] for c in chosen),
-                )
+            if t == last:
+                summary = self._merge(j, owner, [c[0] for c in chosen], masks)
+                beats_target, beats_minmn, low_viol, square_viol = zip(*(c[1] for c in chosen))
+                flags = (all(beats_target), all(beats_minmn), any(low_viol), any(square_viol))
                 count = 1
                 for c in chosen:
                     count *= c[2]
                 desc = ("node", j, blocks, tuple(c[3] for c in chosen))
                 insert(summary, flags, count, desc)
                 return
-            for cand in child_lists[t]:
-                ok = True
-                for s, earlier in enumerate(chosen):
-                    if not self._compatible(j, blocks[s], earlier[0], blocks[t], cand[0]):
-                        ok = False
+            candidates = lists[t]
+            for i in _set_bits(allowed[0]):
+                cand = candidates[i]
+                row = cand[0][j]
+                narrowed = []
+                for u in range(t + 1, last):
+                    bits = allowed[u - t]
+                    by_emax, by_neg_rmin = indexes[u]
+                    for vi in members[t]:
+                        bits &= _at_most(by_emax[vi], row[vi][0])
+                    for vi in members[u]:
+                        bits &= _at_most(by_neg_rmin[vi], -row[vi][1])
+                    if not bits:
                         break
-                if ok:
+                    narrowed.append(bits)
+                else:
                     chosen.append(cand)
-                    rec(t + 1)
+                    rec(t + 1, tuple(narrowed))
                     chosen.pop()
 
-        rec(0)
+        rec(0, tuple((1 << len(lst)) - 1 for lst in lists))
+
+
+def _threshold_table(values: list) -> tuple:
+    """(keys, masks) for ``_at_most``: ``keys`` are the distinct values
+    ascending, and ``masks[k]`` has bit i set for each i with
+    ``values[i] <= keys[k - 1]`` (``masks[0]`` is empty)."""
+    by_value: dict = {}
+    for i, x in enumerate(values):
+        by_value[x] = by_value.get(x, 0) | 1 << i
+    keys = sorted(by_value)
+    masks = [0]
+    for x in keys:
+        masks.append(masks[-1] | by_value[x])
+    return keys, masks
+
+
+def _at_most(table: tuple, x) -> int:
+    """Bitset of the indices whose value is at most ``x``."""
+    keys, masks = table
+    return masks[bisect_right(keys, x)]
+
+
+def _set_bits(bits: int) -> Iterator[int]:
+    """Indices of the set bits of ``bits``, lowest first."""
+    digits = bin(bits)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def _mu_audit_profiles(engine: _Engine):
@@ -680,7 +776,7 @@ def _scan_aggregated(engine: _Engine, space: SearchSpace, t_num: int, t_den: int
     agg = _Aggregator(engine, t_num, t_den, deadline, beating_only=beating_only)
     audit = _fresh_audit(agg.audit_profiles is not None and not beating_only)
     try:
-        root = agg.classes(engine.root_masks(), space.max_depth)
+        root, _ = agg.classes(engine.root_masks(), space.max_depth)
     except _BudgetExceeded:
         return SearchVerdict(
             outcome="budget-exhausted",

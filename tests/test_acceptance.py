@@ -11,6 +11,7 @@ the fixture with the square-value grand-bundle valuation restores the
 impossibility; the supplementary test at the bottom verifies that run.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -233,6 +234,21 @@ def test_criterion_6_pruning_agreement():
     announce("6 (pruning on/off)", ok, elapsed,
              f"reduced {{0,1}}-grid sub-run agrees: both {on.outcome}")
     assert ok
+
+
+def test_literal_scan_headline_totals(literal_scan):
+    """The m = n = 2 totals and first counterexample, pinned byte for byte."""
+    from ospcheck.serialize import serialize_mechanism
+
+    audit = literal_scan.audit
+    assert literal_scan.survivors == 40_653_539_908
+    assert audit["square_bound_premise_met"] == 3_832_024
+    assert audit["square_bound_failures"] == 2_498_868
+    assert audit["low_profile_bound_failures"] == 0
+    digest = hashlib.sha256(
+        serialize_mechanism(literal_scan.counterexample).encode("utf-8")
+    ).hexdigest()
+    assert digest == "44d0bde188507bf21e8ebb71ef6a93586cb7a81311b2d96c53518dbb5fcde82a"
 
 
 def test_criterion_7_low_profile_payment_bound(literal_scan):

@@ -127,6 +127,30 @@ def test_aggregated_totals_match_checker_by_checker_scan():
     assert on.audit["low_profile_bound_failures"] == 0
 
 
+def test_aggregated_totals_match_checker_by_checker_scan_both_speaking():
+    # both players hold two valuations, so sibling joins run under either
+    # speaker; a join index shared across speakers miscounts here
+    dom = adversarial_domain(MU22, "mu-single-minded")
+    sub = Domain(setting=MU22, players=tuple(vs[:2] for vs in dom.players))
+    space = SearchSpace(domain=sub, payment_grid=ZERO_GRID)
+    survivors = 0
+    raw = 0
+    for bundle in enumerate_normalized_mechanisms(space):
+        raw += 1
+        if (
+            check_osp(*bundle.checker_args()).passed
+            and check_ir(*bundle.checker_args()).passed
+            and check_nnt(*bundle.checker_args()).passed
+        ):
+            survivors += 1
+    assert (raw, survivors) == (3534, 262)
+    on = falsify_impossibility(space, Fraction(2), prune=True)
+    off = falsify_impossibility(space, Fraction(2), prune=False)
+    assert on.examined == on.survivors == survivors
+    assert on.outcome == off.outcome == "counterexample"
+    assert serialize_mechanism(on.counterexample) == serialize_mechanism(off.counterexample)
+
+
 def test_counterexample_reverifies():
     space = _sub_space()
     verdict = falsify_impossibility(space, Fraction(2))
@@ -152,6 +176,9 @@ def test_budget_exhaustion():
     verdict = falsify_impossibility(space, Fraction(2), budget_seconds=0.0)
     assert verdict.outcome == "budget-exhausted"
     assert verdict.caveat
+    # a scan too small to reach the periodic check in the join still stops
+    small = falsify_impossibility(_sub_space(), Fraction(2), budget_seconds=0.0)
+    assert small.outcome == "budget-exhausted"
 
 
 def test_verdict_carries_class_description_and_caveat():
