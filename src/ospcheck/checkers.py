@@ -124,6 +124,31 @@ def check_nnt(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     return Verdict("nnt", True)
 
 
+class _Utilities(dict):
+    """One player's utility under one valuation, per leaf id, computed on first use."""
+
+    def __init__(self, tree: MechanismTree, player: int, valuation):
+        self.nodes, self.player, self.valuation = tree.nodes, player, valuation
+
+    def __missing__(self, lid: str) -> Fraction:
+        leaf, i = self.nodes[lid], self.player
+        u = self[lid] = utility(self.valuation, leaf.allocation[i], leaf.payments[i])
+        return u
+
+
+def _off_path(tree: MechanismTree, path: list):
+    """Yield ``(vertex, leaves)`` per subtree branching off ``path`` at ``vertex``, in
+    preorder: subtrees left of the path shallowest first, then right of it deepest first."""
+    left, right = [], []
+    for w, nxt in zip(path, path[1:]):
+        children = list(tree.nodes[w].edges.values())
+        k = children.index(nxt)
+        left += [(w, c) for c in children[:k]]
+        right[:0] = [(w, c) for c in children[k + 1:]]
+    for w, c in left + right:
+        yield w, tree.subtree_leaves(c)
+
+
 def _consistent_reach(tree: MechanismTree, player: int, behavior: Behavior):
     """Nodes reachable when ``player`` follows ``behavior`` and others roam.
 
@@ -262,46 +287,38 @@ def check_dsic(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     behavior of the player.  A pair of leaves (realized one following the
     plan, better one after a unilateral deviation) certifies a violation
     exactly when the paths to them split at a vertex the player owns; the
-    scan below enumerates those pairs directly.
+    scan below enumerates those pairs directly, computing each utility once
+    per (valuation, leaf) in a call.
     """
     for i in range(tree.setting.n):
         for v in _players(domain)[i]:
             behavior = strategies[i][v]
+            u = _Utilities(tree, i, v)
             reach = _consistent_reach(tree, i, behavior)
             own_leaves = [nid for nid in reach if isinstance(tree.nodes[nid], Leaf)]
             for leaf_id in own_leaves:
                 path = tree.path_to(leaf_id)
-                leaf = tree.nodes[leaf_id]
-                u_real = utility(v, leaf.allocation[i], leaf.payments[i])
-                for other_id in tree.leaf_ids:
-                    if other_id == leaf_id:
-                        continue
-                    other_path = tree.path_to(other_id)
-                    split = 0
-                    while other_path[split] == path[split]:
-                        split += 1
-                    w = path[split - 1]
+                for w, others in _off_path(tree, path):
                     if tree.nodes[w].speaker != i:
                         continue
-                    other = tree.nodes[other_id]
-                    u_dev = utility(v, other.allocation[i], other.payments[i])
-                    if u_dev > u_real:
-                        opponents = _profile_through(
-                            tree, [path, other_path], fixed=behavior
-                        )
-                        alt = _profile_through(tree, [other_path])
-                        return Verdict(
-                            "dsic",
-                            False,
-                            Witness(
-                                player=i, vertex=w, valuation=v,
-                                behaviors=opponents, alt_behaviors=alt,
-                                leaf=leaf_id, alt_leaf=other_id,
-                                utility=u_real, alt_utility=u_dev,
-                                note="a unilateral deviation beats the plan "
-                                     "against fixed opponent behaviors",
-                            ),
-                        )
+                    other_id = next((x for x in others if u[x] > u[leaf_id]), None)
+                    if other_id is None:
+                        continue
+                    other_path = tree.path_to(other_id)
+                    opponents = _profile_through(tree, [path, other_path], fixed=behavior)
+                    alt = _profile_through(tree, [other_path])
+                    return Verdict(
+                        "dsic",
+                        False,
+                        Witness(
+                            player=i, vertex=w, valuation=v,
+                            behaviors=opponents, alt_behaviors=alt,
+                            leaf=leaf_id, alt_leaf=other_id,
+                            utility=u[leaf_id], alt_utility=u[other_id],
+                            note="a unilateral deviation beats the plan "
+                                 "against fixed opponent behaviors",
+                        ),
+                    )
     return Verdict("dsic", True)
 
 
@@ -381,33 +398,28 @@ def scan_bad_leaf_good_leaf(tree: MechanismTree, strategies: Sequence, domain) -
 
     Finds every (player, vertex, profile pair) where both realized paths
     visit the vertex, the first outcome is strictly worse for the player's
-    first valuation, and yet her plan sends different messages there.  Any
-    obviously dominant plan yields an empty list.
+    valuation in the first profile, and yet her plan sends different
+    messages there.  Above their split vertex both paths take the same edge,
+    so both plans send the same message: only the split vertex and its
+    speaker can qualify, and the scan checks nothing else.  Any obviously
+    dominant plan yields an empty list.
     """
     realized = list(_realized(tree, strategies, domain))
+    rows = [[_Utilities(tree, i, v) for v in vs] for i, vs in enumerate(_players(domain))]
     out = []
-    for (p1, _, leaf1, path1), (p2, _, leaf2, path2) in itertools.product(realized, repeat=2):
-        common = set(path1) & set(path2)
-        l1, l2 = tree.nodes[leaf1], tree.nodes[leaf2]
-        for i in range(tree.setting.n):
-            v, v_alt = p1[i], p2[i]
-            u_bad = utility(v, l1.allocation[i], l1.payments[i])
-            u_good = utility(v, l2.allocation[i], l2.payments[i])
-            if not u_bad < u_good:
-                continue
-            b, b_alt = strategies[i][v], strategies[i][v_alt]
-            for nid in common:
-                node = tree.nodes[nid]
-                if isinstance(node, Leaf) or node.speaker != i:
-                    continue
-                if b.choices[nid] != b_alt.choices[nid]:
-                    out.append(
-                        BadGoodViolation(
-                            player=i, vertex=nid, profile=p1, alt_profile=p2,
-                            leaf=leaf1, alt_leaf=leaf2,
-                            utility=u_bad, alt_utility=u_good,
-                        )
-                    )
+    # product order over the tables matches the realized profiles' order
+    for us, (p1, _, leaf1, path1) in zip(itertools.product(*rows), realized):
+        good = {}  # leaf -> (player, vertex, bad utility, good utility)
+        for w, leaves in _off_path(tree, path1):
+            i = tree.nodes[w].speaker
+            u = us[i]
+            good.update((x, (i, w, u[leaf1], u[x])) for x in leaves if u[leaf1] < u[x])
+        if not good:
+            continue
+        for p2, _, leaf2, _ in realized:
+            if leaf2 in good:
+                i, w, u_bad, u_good = good[leaf2]
+                out.append(BadGoodViolation(i, w, p1, p2, leaf1, leaf2, u_bad, u_good))
     return out
 
 

@@ -131,6 +131,14 @@ def _parse_fraction(raw: str, what: str) -> Fraction:
         raise UsageError(f"bad {what}: {raw!r} (expected an integer or P/Q)")
 
 
+def _config_entry(config: dict, key: str, types: tuple, what: str):
+    """A search config entry, None when absent or null; wrongly typed entries are usage errors."""
+    value = config.get(key)
+    if value is not None and type(value) not in types:
+        raise UsageError(f"config entry {key!r} must be {what}, got {value!r}")
+    return value
+
+
 def _infer_grid_family(domain: Domain) -> str:
     tags = {v.tag for vs in domain.players for v in vs}
     if "single-minded-mu" in tags or "general-mu" in tags:
@@ -166,24 +174,31 @@ def _cmd_search(args) -> int:
         domain = parse_domain(json.dumps(domain_src))
 
     if args.grid is not None:
-        grid = tuple(_parse_fraction(g, "grid entry") for g in args.grid.split(","))
-    elif "grid" in config:
-        grid = tuple(_parse_fraction(str(g), "grid entry") for g in config["grid"])
+        levels = args.grid.split(",")
     else:
+        levels = _config_entry(config, "grid", (list,), "a list of payment levels")
+    if levels is None:
         grid = default_payment_grid(domain.setting, _infer_grid_family(domain))
+    else:
+        grid = tuple(_parse_fraction(str(g), "grid entry") for g in levels)
 
     target = args.target_ratio or config.get("target_ratio")
     if target is None:
         raise UsageError("search needs --target-ratio P/Q or a target_ratio config entry")
     target = _parse_fraction(str(target), "target ratio")
 
-    depth = args.max_depth if args.max_depth is not None else config.get("max_depth")
-    budget = args.budget if args.budget is not None else config.get("budget_seconds")
-    prune = not args.no_prune and config.get("prune", True)
+    depth = args.max_depth
+    if depth is None:
+        depth = _config_entry(config, "max_depth", (int,), "an integer")
+    budget = args.budget
+    if budget is None:
+        budget = _config_entry(config, "budget_seconds", (int, float), "a number")
+    prune = _config_entry(config, "prune", (bool,), "true or false") is not False
+    prune = prune and not args.no_prune
 
     _workers()
-    space = SearchSpace(domain=domain, payment_grid=grid, max_depth=depth)
     try:
+        space = SearchSpace(domain=domain, payment_grid=grid, max_depth=depth)
         verdict = falsify_impossibility(space, target, budget_seconds=budget, prune=prune)
     except ValueError as exc:
         raise UsageError(str(exc))

@@ -23,7 +23,9 @@ from ospcheck import (
     bundle_contains,
     evaluate,
     run,
+    utility,
 )
+from ospcheck.checkers import BadGoodViolation
 
 PAY_LEVELS = [Fraction(0), Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3)]
 
@@ -173,6 +175,43 @@ def oracle_dsic(bundle: MechanismBundle) -> bool:
                         return False
                 profile[i] = plan
     return True
+
+
+def oracle_bad_leaf_good_leaf(tree, strategies, domain) -> list:
+    """The bad-leaf/good-leaf scan straight from its definition.
+
+    Every ordered pair of realized profiles, every vertex both paths visit,
+    every player: no use of the fact that only the split vertex can qualify.
+    """
+    realized = []
+    for profile in itertools.product(*domain.players):
+        behaviors = tuple(strategies[i][profile[i]] for i in range(tree.setting.n))
+        leaf_id, path = run(tree, behaviors)
+        realized.append((profile, behaviors, leaf_id, path))
+    out = []
+    for (p1, _, leaf1, path1), (p2, _, leaf2, path2) in itertools.product(realized, repeat=2):
+        common = set(path1) & set(path2)
+        l1, l2 = tree.nodes[leaf1], tree.nodes[leaf2]
+        for i in range(tree.setting.n):
+            v, v_alt = p1[i], p2[i]
+            u_bad = utility(v, l1.allocation[i], l1.payments[i])
+            u_good = utility(v, l2.allocation[i], l2.payments[i])
+            if not u_bad < u_good:
+                continue
+            b, b_alt = strategies[i][v], strategies[i][v_alt]
+            for nid in common:
+                node = tree.nodes[nid]
+                if isinstance(node, Leaf) or node.speaker != i:
+                    continue
+                if b.choices[nid] != b_alt.choices[nid]:
+                    out.append(
+                        BadGoodViolation(
+                            player=i, vertex=nid, profile=p1, alt_profile=p2,
+                            leaf=leaf1, alt_leaf=leaf2,
+                            utility=u_bad, alt_utility=u_good,
+                        )
+                    )
+    return out
 
 
 def oracle_decisive(tree, nid, player, bundle, price) -> bool:

@@ -1,5 +1,6 @@
 """Property checkers against hand computations and brute-force oracles."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -31,7 +32,13 @@ from ospcheck import (
     welfare_ratio,
 )
 
-from helpers import leaf_utility, oracle_dsic, oracle_osp, random_instance
+from helpers import (
+    leaf_utility,
+    oracle_bad_leaf_good_leaf,
+    oracle_dsic,
+    oracle_osp,
+    random_instance,
+)
 
 CA21 = AuctionSetting(kind="combinatorial", n=2, m=1)
 MU22 = AuctionSetting(kind="multi-unit", n=2, m=2)
@@ -245,6 +252,50 @@ def test_scan_bad_leaf_good_leaf():
         {v: Behavior(owner=1, choices={})},
     )
     assert scan_bad_leaf_good_leaf(fp.tree, strategies, singleton) == []
+
+
+def rotated_plans(bundle) -> MechanismBundle:
+    """The bundle with each player's plans shifted by one valuation, so that
+    a reference tree is followed by plans that are not obviously dominant."""
+    strategies = tuple(
+        {v: table[w] for v, w in zip(vs, vs[1:] + vs[:1])}
+        for vs, table in zip(bundle.domain.players, bundle.strategies)
+    )
+    return MechanismBundle(tree=bundle.tree, strategies=strategies, domain=bundle.domain)
+
+
+def test_scan_bad_leaf_good_leaf_matches_definition_oracle():
+    rng = random.Random(31)
+    bundles = [random_instance(rng) for _ in range(300)]
+    references = [
+        serial_posted_price(1, 3, CA21),
+        serial_posted_price(1, 3, AuctionSetting(kind="combinatorial", n=2, m=2)),
+        grand_bundle_ascending(MU22, 4),
+        grand_bundle_ascending(MU22, 16, domain=adversarial_domain(MU22, "mu-single-minded")),
+    ]
+    bundles += [first_price_bundle(), first_price_bundle(K=4)]
+    bundles += references + [rotated_plans(b) for b in references]
+    found = 0
+    for bundle in bundles:
+        got = scan_bad_leaf_good_leaf(*bundle.checker_args())
+        assert got == oracle_bad_leaf_good_leaf(*bundle.checker_args())
+        found += len(got)
+    assert all(scan_bad_leaf_good_leaf(*b.checker_args()) == [] for b in references)
+    assert all(scan_bad_leaf_good_leaf(*rotated_plans(b).checker_args()) for b in references)
+    assert found > 1000
+
+
+def test_dsic_witnesses_pinned():
+    """First DSIC witnesses on seeded random instances, byte for byte."""
+    rng = random.Random(4242)
+    digest = hashlib.sha256()
+    failed = 0
+    for _ in range(300):
+        verdict = check_dsic(*random_instance(rng).checker_args())
+        failed += not verdict.passed
+        digest.update(repr(verdict).encode() + b"\n")
+    assert failed == 161
+    assert digest.hexdigest() == "2d1f0cf38876fc932787c5ef3d39d0fd7e4b47fe85099cb8e2fec80d120880c9"
 
 
 def test_first_divergence():

@@ -157,6 +157,21 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert code == 2
     assert "line" in err
 
+    from ospcheck import AuctionSetting, adversarial_domain
+    from ospcheck.serialize import serialize_domain
+
+    mu = AuctionSetting(kind="multi-unit", n=2, m=2)
+    domain_path = tmp_path / "dom.json"
+    domain_path.write_text(serialize_domain(adversarial_domain(mu, "mu-single-minded")))
+    search = ["search", "--domain", str(domain_path), "--target-ratio", "2"]
+    code, _, err = run_cli(capsys, *search, "--grid", "0,1", "--max-depth", "-1")
+    assert code == 2 and "depth" in err
+    for entry in ({"max_depth": "3"}, {"budget_seconds": "5"}, {"grid": 5}):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(entry))
+        code, _, err = run_cli(capsys, *search, "--config", str(config))
+        assert code == 2 and repr(next(iter(entry))) in err
+
 
 def test_workers_env_validation(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("OSPCHECK_WORKERS", "0")
