@@ -471,6 +471,29 @@ class PaymentBoundReport:
     k: Fraction
 
 
+def _mu_fixture_profiles(setting: AuctionSetting, players: tuple) -> Optional[tuple]:
+    """(all-one, spike) profiles of the adversarial multi-unit fixture.
+
+    The all-one profile gives every player the one-unit value-1 valuation;
+    the spike profile gives the first player who can demand all m units at
+    value k^4 that valuation instead.  None when the domain is not that
+    fixture.
+    """
+    if setting.is_combinatorial:
+        return None
+    k = Fraction(max(setting.m, setting.n))
+    one = SingleMindedMU(quantity=1, value=Fraction(1))
+    all_v = SingleMindedMU(quantity=setting.m, value=k**4)
+    if any(one not in vs for vs in players):
+        return None
+    featured = next((i for i, vs in enumerate(players) if all_v in vs), None)
+    if featured is None:
+        return None
+    all_one = tuple(one for _ in players)
+    spike = tuple(all_v if i == featured else one for i in range(len(players)))
+    return all_one, spike
+
+
 def mu_payment_bounds(tree: MechanismTree, strategies: Sequence, domain: Domain) -> PaymentBoundReport:
     """Check the payment bounds at the adversarial multi-unit profiles.
 
@@ -482,17 +505,12 @@ def mu_payment_bounds(tree: MechanismTree, strategies: Sequence, domain: Domain)
     responsible for establishing.
     """
     setting = tree.setting
-    players = _players(domain)
+    profiles = _mu_fixture_profiles(setting, _players(domain))
+    if profiles is None:
+        raise ValueError("domain is not the adversarial multi-unit fixture")
+    all_one, spike = profiles
     m = setting.m
     k = Fraction(max(setting.m, setting.n))
-    one = SingleMindedMU(quantity=1, value=Fraction(1))
-    all_v = SingleMindedMU(quantity=m, value=k**4)
-    for vs in players:
-        if one not in vs:
-            raise ValueError("domain is not the adversarial multi-unit fixture")
-    featured = next((i for i, vs in enumerate(players) if all_v in vs), None)
-    if featured is None:
-        raise ValueError("domain is not the adversarial multi-unit fixture")
 
     def outcome(profile):
         behaviors = tuple(strategies[i][profile[i]] for i in range(setting.n))
@@ -500,14 +518,12 @@ def mu_payment_bounds(tree: MechanismTree, strategies: Sequence, domain: Domain)
         leaf = tree.nodes[leaf_id]
         return leaf.allocation, leaf.payments
 
-    all_one = tuple(one for _ in range(setting.n))
     alloc, pays = outcome(all_one)
     winners = tuple(
         (i, pays[i]) for i in range(setting.n) if not bundle_is_empty(setting, alloc[i])
     )
     bound_one = all(p <= 1 for _, p in winners)
 
-    spike = tuple(all_v if i == featured else one for i in range(setting.n))
     alloc2, pays2 = outcome(spike)
     all_units = next(
         ((i, pays2[i]) for i in range(setting.n) if bundle_contains(setting, alloc2[i], m)),

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -39,28 +38,11 @@ from .valuations import (
     restricted_additive_domain,
 )
 
-WORKERS_ENV = "OSPCHECK_WORKERS"
-
 CHECKS = {"osp": check_osp, "dsic": check_dsic, "ir": check_ir, "nnt": check_nnt}
 
 
 class UsageError(Exception):
     pass
-
-
-def _workers() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
-    # verdicts are partition-independent by contract; the current engine
-    # always evaluates in-process, so the count is accepted and ignored
-    return value
 
 
 def _read(path: str) -> bytes:
@@ -196,7 +178,6 @@ def _cmd_search(args) -> int:
     prune = _config_entry(config, "prune", (bool,), "true or false") is not False
     prune = prune and not args.no_prune
 
-    _workers()
     try:
         space = SearchSpace(domain=domain, payment_grid=grid, max_depth=depth)
         verdict = falsify_impossibility(space, target, budget_seconds=budget, prune=prune)
@@ -249,8 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ospcheck",
         description="Verify sequential auction mechanisms: incentive properties, "
         "welfare ratios, structural audits, and bounded counterexample search.",
-        epilog=f"Environment: {WORKERS_ENV} sets the worker count for partitionable "
-        "scans (accepted for forward compatibility; results never depend on it).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -291,7 +270,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="comma list of payment levels (default: impossibility-argument thresholds)")
     p.add_argument("--max-depth", type=int, help="tree depth cap (default: total valuation count)")
     p.add_argument("--budget", type=float, help="time budget in seconds (default: unlimited)")
-    p.add_argument("--no-prune", action="store_true", help="disable search pruning")
+    p.add_argument("--no-prune", action="store_true",
+                   help="build and check every mechanism one by one instead of "
+                   "counting equivalence classes (the slow reference scan)")
     common(p)
     p.set_defaults(func=_cmd_search)
     return parser

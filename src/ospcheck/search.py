@@ -30,17 +30,26 @@ Two reductions keep the join small:
   in a child where that player's set is a proper block; sets only shrink
   downward, so a player with a full set has not spoken above, and no
   ancestor can read the row.  Dropping it merges exactly the classes that no
-  later comparison can tell apart, so every count is unchanged.
+  later comparison can tell apart, so every count stays exact.
 * Compatibility is a dominance test per valuation.  Each child class list
   gets, per speaker, threshold tables of bitsets (Python ints) over emax and
   rmin, and a child's candidate set is the AND of one lookup per valuation
   of the blocks involved, visited lowest bit first.
 
+Both scans judge a tree by the same four flags, read from one predicate
+table that ``_Engine`` builds for the target of the call: per allocation,
+the profiles where it beats the target ratio and those where it beats
+min(m, n), plus the two profiles of the payment-bound audit.  A leaf's flags
+come from the profiles it covers (``_Engine.leaf_flags``), and a tree's are
+its leaves' flags folded by ``_fold_flags``; a tree's leaves cover disjoint
+profile sets whose union is every profile reaching the tree, so the fold is
+the verdict over those profiles.
+
 Classes are kept in first-encounter order, so the stored representative of
 each class is its first member in stream order, and the first counterexample
-is the one the member-by-member stream (``prune=False``, judged by the
-ordinary property checkers) finds.  That stream is the reference the tests
-compare the aggregated scan against.
+is the one the member-by-member stream (``prune=False``: every member built
+and judged by the ordinary OSP, IR and NNT checkers) finds.  That stream is
+the slow reference the tests compare the aggregated scan against.
 """
 
 from __future__ import annotations
@@ -53,10 +62,17 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional
 
-from .checkers import check_ir, check_nnt, check_osp, enumerate_allocations, opt_welfare
+from .checkers import (
+    _mu_fixture_profiles,
+    check_ir,
+    check_nnt,
+    check_osp,
+    enumerate_allocations,
+    opt_welfare,
+)
 from .mechanisms import MechanismBundle
 from .model import Behavior, build_tree
-from .valuations import Domain, SingleMindedMU, evaluate
+from .valuations import Domain, evaluate
 
 GRID_CAVEAT = (
     "verdict is relative to the declared normalized class and its finite payment "
@@ -121,27 +137,6 @@ class SearchVerdict:
     caveat: str = GRID_CAVEAT
 
 
-class _Frame:
-    """Constraint bookkeeping for one internal node on the DFS stack.
-
-    Tracks, per valuation of the node's speaker: the minimum realized
-    utility over leaves of completed earlier children (``done_rmin``, only
-    for valuations consistent there), the maximum utility over all those
-    leaves (``done_emax``), and the same two aggregates for the child under
-    construction.
-    """
-
-    __slots__ = ("speaker", "done_rmin", "done_emax", "cur_rmin", "cur_emax", "done_vmask")
-
-    def __init__(self, speaker: int, size: int):
-        self.speaker = speaker
-        self.done_rmin = [_BIG] * size
-        self.done_emax = [-_BIG] * size
-        self.cur_rmin = [_BIG] * size
-        self.cur_emax = [-_BIG] * size
-        self.done_vmask = 0
-
-
 def _partitions(elements: tuple) -> list:
     """Set partitions of ``elements`` into >= 2 blocks, canonical order.
 
@@ -170,9 +165,11 @@ def _partitions(elements: tuple) -> list:
 
 
 class _Engine:
-    def __init__(self, space: SearchSpace, prune: bool):
+    """Scaled integer tables of one search space; with a target ratio, also
+    the predicate table both scans judge trees by."""
+
+    def __init__(self, space: SearchSpace, target: Optional[Fraction] = None):
         self.space = space
-        self.prune = prune
         domain = space.domain
         self.setting = domain.setting
         self.players = domain.players
@@ -200,12 +197,27 @@ class _Engine:
         for i in reversed(range(self.n)):
             self.strides[i] = stride
             stride *= self.sizes[i]
-        self.profile_count = stride
-        self.opt = []
-        for profile in itertools.product(*self.players):
-            w, _ = opt_welfare(profile, self.setting)
-            self.opt.append(int(w * self.scale))
-        self.sw = [
+
+        # every leaf of the class, as the member-by-member stream walks them
+        self.leaves = [
+            (ai, pays)
+            for ai in range(len(self.allocations))
+            for pays in itertools.product(self.grid, repeat=self.n)
+        ]
+        self._leaf_cache: dict = {}
+        self._covered_cache: dict = {}
+        self._partition_cache: dict = {}
+        if target is not None:
+            self._build_predicates(target)
+
+    def _build_predicates(self, target: Fraction) -> None:
+        """Per allocation, bitsets of the profiles where its ratio misses the
+        target and where it misses min(m, n); the audit profiles' bits."""
+        opt = [
+            int(opt_welfare(profile, self.setting)[0] * self.scale)
+            for profile in itertools.product(*self.players)
+        ]
+        sw = [
             [
                 sum(self.val[(i, pv[i], ai)] for i in range(self.n))
                 for pv in itertools.product(*(range(c) for c in self.sizes))
@@ -213,45 +225,86 @@ class _Engine:
             for ai in range(len(self.allocations))
         ]
 
-        self.realized = [None] * self.profile_count
-        self.frames: list = []
-        self.trail: list = []
-        self._leaf_cache: dict = {}
-        self._covered_cache: dict = {}
-        self._partition_cache: dict = {}
+        def misses(num: int, den: int) -> list:
+            # OPT / SW not below num / den; a zero optimum (0/0) never misses
+            return [
+                sum(1 << p for p, (w, o) in enumerate(zip(row, opt)) if o and o * den >= w * num)
+                for row in sw
+            ]
+
+        self.misses_target = misses(target.numerator, target.denominator)
+        self.misses_minmn = misses(min(self.setting.m, self.setting.n), 1)
+        profiles = _mu_fixture_profiles(self.setting, self.players)
+        self.audit_applicable = profiles is not None
+        self.low_bit = self.spike_bit = 0
+        if profiles is not None:
+            low, spike = (
+                sum(self.players[i].index(v) * self.strides[i] for i, v in enumerate(profile))
+                for profile in profiles
+            )
+            self.low_bit, self.spike_bit = 1 << low, 1 << spike
+        self.square = max(self.setting.m, self.setting.n) ** 2 * self.scale
+
+    def leaf_flags(self, masks: tuple, ai: int, pays: tuple) -> tuple:
+        """(beats_target, beats_minmn, low_viol, square_viol) of a leaf at
+        ``masks``: the ratio flags hold on every profile the leaf covers; a
+        violation is a winner at the all-one profile paying more than 1, or a
+        winner of all m units at the spike profile paying more than k^2."""
+        covered = self._covered(masks)
+        alloc = self.allocations[ai]
+        low_viol = bool(covered & self.low_bit) and any(
+            alloc[i] and pays[i] > self.scale for i in range(self.n)
+        )
+        square_viol = bool(covered & self.spike_bit) and any(
+            alloc[i] >= self.setting.m and pays[i] > self.square for i in range(self.n)
+        )
+        return (
+            not covered & self.misses_target[ai],
+            not covered & self.misses_minmn[ai],
+            low_viol,
+            square_viol,
+        )
+
+    def tree_flags(self, descriptor: tuple, masks: tuple) -> tuple:
+        """``leaf_flags`` folded over the leaves of a descriptor."""
+        if descriptor[0] == "leaf":
+            return self.leaf_flags(masks, descriptor[1], descriptor[2])
+        _, j, blocks, subs = descriptor
+        return _fold_flags(
+            self.tree_flags(sub, masks[:j] + (block,) + masks[j + 1:])
+            for block, sub in zip(blocks, subs)
+        )
 
     # -- cached per-context tables -------------------------------------
 
-    def _covered(self, masks: tuple) -> list:
+    def _covered(self, masks: tuple) -> int:
+        """Bitset of the profiles whose valuations all lie in ``masks``."""
         got = self._covered_cache.get(masks)
         if got is None:
             axes = []
             for i, mask in enumerate(masks):
                 axes.append([vi for vi in range(self.sizes[i]) if mask >> vi & 1])
-            got = [
-                sum(vi * self.strides[i] for i, vi in enumerate(combo))
-                for combo in itertools.product(*axes)
-            ]
+            got = 0
+            for combo in itertools.product(*axes):
+                got |= 1 << sum(vi * self.strides[i] for i, vi in enumerate(combo))
             self._covered_cache[masks] = got
         return got
 
     def _leaf_options(self, masks: tuple) -> list:
+        """Leaves at ``masks`` that keep IR and NNT on every covered profile:
+        each payment lies between 0 and the payer's least value there."""
         got = self._leaf_cache.get(masks)
         if got is None:
             got = []
             for ai in range(len(self.allocations)):
                 per_player = []
                 for i, mask in enumerate(masks):
-                    if self.prune:
-                        cap = min(
-                            self.val[(i, vi, ai)]
-                            for vi in range(self.sizes[i])
-                            if mask >> vi & 1
-                        )
-                        allowed = [p for p in self.grid if 0 <= p <= cap]
-                    else:
-                        allowed = self.grid
-                    per_player.append(allowed)
+                    cap = min(
+                        self.val[(i, vi, ai)]
+                        for vi in range(self.sizes[i])
+                        if mask >> vi & 1
+                    )
+                    per_player.append([p for p in self.grid if 0 <= p <= cap])
                 for pays in itertools.product(*per_player):
                     got.append((ai, pays))
             self._leaf_cache[masks] = got
@@ -269,112 +322,33 @@ class _Engine:
             self._partition_cache[mask] = got
         return got
 
-    # -- trail ----------------------------------------------------------
-
-    def _unwind(self, mark: int) -> None:
-        trail = self.trail
-        while len(trail) > mark:
-            frame, attr, idx, old = trail.pop()
-            if attr == "vmask":
-                frame.done_vmask = old
-            else:
-                getattr(frame, attr)[idx] = old
-
-    def _place_leaf(self, masks: tuple, ai: int, pays: tuple) -> bool:
-        if self.prune:
-            for frame in self.frames:
-                j = frame.speaker
-                mask_j = masks[j]
-                pay = pays[j]
-                vmask = frame.done_vmask
-                for vi in range(self.sizes[j]):
-                    u = self.val[(j, vi, ai)] - pay
-                    if vmask >> vi & 1 and frame.done_rmin[vi] < u:
-                        return False
-                    if mask_j >> vi & 1 and u < frame.done_emax[vi]:
-                        return False
-            trail = self.trail
-            for frame in self.frames:
-                j = frame.speaker
-                mask_j = masks[j]
-                pay = pays[j]
-                for vi in range(self.sizes[j]):
-                    u = self.val[(j, vi, ai)] - pay
-                    if u > frame.cur_emax[vi]:
-                        trail.append((frame, "cur_emax", vi, frame.cur_emax[vi]))
-                        frame.cur_emax[vi] = u
-                    if mask_j >> vi & 1 and u < frame.cur_rmin[vi]:
-                        trail.append((frame, "cur_rmin", vi, frame.cur_rmin[vi]))
-                        frame.cur_rmin[vi] = u
-        realized = self.realized
-        entry = (ai, pays)
-        for p in self._covered(masks):
-            realized[p] = entry
-        return True
-
-    def _complete_child(self, frame: _Frame, block: int) -> None:
-        trail = self.trail
-        size = len(frame.done_rmin)
-        for vi in range(size):
-            ce = frame.cur_emax[vi]
-            if ce > frame.done_emax[vi]:
-                trail.append((frame, "done_emax", vi, frame.done_emax[vi]))
-                frame.done_emax[vi] = ce
-            if block >> vi & 1:
-                trail.append((frame, "done_rmin", vi, frame.done_rmin[vi]))
-                frame.done_rmin[vi] = frame.cur_rmin[vi]
-            if frame.cur_emax[vi] != -_BIG:
-                trail.append((frame, "cur_emax", vi, frame.cur_emax[vi]))
-                frame.cur_emax[vi] = -_BIG
-            if frame.cur_rmin[vi] != _BIG:
-                trail.append((frame, "cur_rmin", vi, frame.cur_rmin[vi]))
-                frame.cur_rmin[vi] = _BIG
-        trail.append((frame, "vmask", 0, frame.done_vmask))
-        frame.done_vmask |= block
-
     # -- enumeration ------------------------------------------------------
 
     def subtrees(self, masks: tuple, depth: int) -> Iterator[tuple]:
-        """Yield a descriptor for every complete subtree at this position.
-
-        At yield time the engine's realized-outcome table and constraint
-        frames reflect the yielded subtree.
-        """
-        for ai, pays in self._leaf_options(masks):
-            mark = len(self.trail)
-            if self._place_leaf(masks, ai, pays):
-                yield ("leaf", ai, pays)
-            self._unwind(mark)
+        """Yield a descriptor for every complete subtree at this position."""
+        for ai, pays in self.leaves:
+            yield ("leaf", ai, pays)
         if depth < 1:
             return
         for j in range(self.n):
-            mask_j = masks[j]
-            if bin(mask_j).count("1") < 2:
+            if bin(masks[j]).count("1") < 2:
                 continue
-            for blocks in self._mask_partitions(mask_j):
-                frame = _Frame(j, self.sizes[j])
-                self.frames.append(frame)
-                yield from self._children(frame, j, blocks, 0, masks, depth)
-                self.frames.pop()
+            for blocks in self._mask_partitions(masks[j]):
+                for subs in self._children(j, blocks, 0, masks, depth):
+                    yield ("node", j, blocks, subs)
 
-    def _children(self, frame: _Frame, j: int, blocks: tuple, t: int,
-                  masks: tuple, depth: int) -> Iterator[tuple]:
+    def _children(self, j: int, blocks: tuple, t: int, masks: tuple,
+                  depth: int) -> Iterator[tuple]:
+        """Every choice of subtrees for ``blocks[t:]``, in stream order."""
         if t == len(blocks):
-            yield ("node", j, blocks, ())
+            yield ()
             return
         child_masks = masks[:j] + (blocks[t],) + masks[j + 1:]
         for sub in self.subtrees(child_masks, depth - 1):
-            mark = len(self.trail)
-            if self.prune:
-                self._complete_child(frame, blocks[t])
-            for done in self._children(frame, j, blocks, t + 1, masks, depth):
-                yield ("node", j, blocks, (sub,) + done[3])
-            self._unwind(mark)
+            for rest in self._children(j, blocks, t + 1, masks, depth):
+                yield (sub,) + rest
 
     # -- materialization ---------------------------------------------------
-
-    def _unscale(self, pay: int) -> Fraction:
-        return Fraction(pay, self.scale)
 
     def materialize(self, descriptor: tuple) -> MechanismBundle:
         setting = self.setting
@@ -391,7 +365,7 @@ class _Engine:
                 return {
                     "id": nid,
                     "allocation": list(self.allocations[ai]),
-                    "payments": [self._unscale(p) for p in pays],
+                    "payments": [Fraction(p, self.scale) for p in pays],
                 }
             _, j, blocks, subs = desc
             edges = {}
@@ -408,9 +382,7 @@ class _Engine:
                 choices[j][vi].setdefault(nid, "0")
             return {"id": nid, "speaker": j, "edges": edges}
 
-        root_masks = tuple((1 << c) - 1 for c in self.sizes)
-        spec = spec_of(descriptor, root_masks)
-        tree = build_tree(spec, setting)
+        tree = build_tree(spec_of(descriptor, self.root_masks()), setting)
         strategies = tuple(
             {
                 v: Behavior(owner=i, choices=choices[i][vi])
@@ -425,8 +397,8 @@ class _Engine:
 
 
 def enumerate_normalized_mechanisms(space: SearchSpace) -> Iterator[MechanismBundle]:
-    """Stream every mechanism of the class, unpruned, in deterministic order."""
-    engine = _Engine(space, prune=False)
+    """Stream every mechanism of the class in deterministic order."""
+    engine = _Engine(space)
     for descriptor in engine.subtrees(engine.root_masks(), space.max_depth):
         yield engine.materialize(descriptor)
 
@@ -440,13 +412,13 @@ class _Aggregator:
 
     Two subtrees over the same consistent sets are interchangeable when they
     share (a) the per-valuation min-realized / max-anywhere utility vectors
-    that the bad-leaf/good-leaf pruning compares, and (b) the handful of
-    per-profile verdict bits (beats the target ratio, beats min(m, n),
-    violates a payment bound).  Both the cross-sibling compatibility filter
-    and the final verdict depend only on those, and the covered profile sets
-    of siblings are disjoint, so classes compose: the count of a combined
-    class is the product of its parts.  One first-encountered descriptor per
-    class is kept so a counterexample can still be materialized.
+    that the obvious strategy-proofness join compares, and (b) their four
+    flags from ``_Engine.leaf_flags``.  Both the sibling join and the final
+    verdict depend only on those, and the covered profile sets of siblings
+    are disjoint, so classes compose: the count of a joined class is the
+    product of its parts, and its flags are their ``_fold_flags``.  One
+    first-encountered descriptor per class is kept so a counterexample can
+    still be materialized.
 
     Class entry layout: (summary, flags, count, descriptor) where summary is
     a per-player tuple of rows and flags is (beats_target, beats_minmn,
@@ -460,52 +432,13 @@ class _Aggregator:
     as a child of a node where the speaker speaks.
     """
 
-    def __init__(self, engine: _Engine, t_num: int, t_den: int, deadline=None,
-                 beating_only: bool = False):
+    def __init__(self, engine: _Engine, deadline=None, beating_only: bool = False):
         self.e = engine
-        self.t_num = t_num
-        self.t_den = t_den
-        self.minmn = min(engine.setting.m, engine.setting.n)
         self.deadline = deadline
         self.beating_only = beating_only
-        self.audit_profiles = _mu_audit_profiles(engine)
         self.full = engine.root_masks()
         self.memo: dict = {}
         self.work = 0
-
-    # -- flag helpers ---------------------------------------------------
-
-    def _leaf_flags(self, masks: tuple, ai: int, pays: tuple) -> tuple:
-        e = self.e
-        beats_target = True
-        beats_minmn = True
-        for p in e._covered(masks):
-            sw = e.sw[ai][p]
-            opt = e.opt[p]
-            if sw == 0:
-                if opt != 0:
-                    beats_target = beats_minmn = False
-                    break
-            else:
-                if not opt * self.t_den < sw * self.t_num:
-                    beats_target = False
-                if not opt < sw * self.minmn:
-                    beats_minmn = False
-        low_viol = False
-        square_viol = False
-        if self.audit_profiles is not None:
-            low_idx, spike_idx, square = self.audit_profiles
-            covered = e._covered(masks)
-            alloc = e.allocations[ai]
-            if low_idx in covered:
-                low_viol = any(
-                    alloc[i] and pays[i] > e.scale for i in range(e.n)
-                )
-            if spike_idx in covered:
-                square_viol = any(
-                    alloc[i] >= e.setting.m and pays[i] > square for i in range(e.n)
-                )
-        return beats_target, beats_minmn, low_viol, square_viol
 
     def _leaf_summary(self, masks: tuple, ai: int, pays: tuple) -> tuple:
         e = self.e
@@ -550,7 +483,7 @@ class _Aggregator:
                 entry[2] += count
 
         for ai, pays in e._leaf_options(masks):
-            flags = self._leaf_flags(masks, ai, pays)
+            flags = e.leaf_flags(masks, ai, pays)
             if self.beating_only and not flags[0]:
                 continue
             insert(
@@ -634,8 +567,7 @@ class _Aggregator:
                     raise _BudgetExceeded
             if t == last:
                 summary = self._merge(j, owner, [c[0] for c in chosen], masks)
-                beats_target, beats_minmn, low_viol, square_viol = zip(*(c[1] for c in chosen))
-                flags = (all(beats_target), all(beats_minmn), any(low_viol), any(square_viol))
+                flags = _fold_flags(c[1] for c in chosen)
                 count = 1
                 for c in chosen:
                     count *= c[2]
@@ -694,29 +626,11 @@ def _set_bits(bits: int) -> Iterator[int]:
         i = digits.find("1", i + 1)
 
 
-def _mu_audit_profiles(engine: _Engine):
-    """Profile indices for the payment-bound audit on the adversarial
-    multi-unit fixture; None when the domain is not that fixture."""
-    setting = engine.setting
-    if setting.is_combinatorial:
-        return None
-    m = setting.m
-    k = Fraction(max(setting.m, setting.n))
-    one = SingleMindedMU(quantity=1, value=Fraction(1))
-    all_v = SingleMindedMU(quantity=m, value=k**4)
-    featured = None
-    for i, vs in enumerate(engine.players):
-        if one not in vs or vs[0] != one:
-            return None
-        if featured is None and all_v in vs:
-            featured = (i, vs.index(all_v))
-    if featured is None:
-        return None
-    spike = sum(
-        (featured[1] if i == featured[0] else 0) * engine.strides[i]
-        for i in range(engine.n)
-    )
-    return 0, spike, int(k**2 * engine.scale)
+def _fold_flags(flags) -> tuple:
+    """Flags of a tree from the flags of its parts: the ratio flags must
+    hold in every part, and a payment-bound violation in any part counts."""
+    beats_target, beats_minmn, low_viol, square_viol = zip(*flags)
+    return all(beats_target), all(beats_minmn), any(low_viol), any(square_viol)
 
 
 def falsify_impossibility(
@@ -737,28 +651,37 @@ def falsify_impossibility(
     profile pays at most the square threshold.
 
     With ``prune`` the scan aggregates interchangeable subtrees and counts
-    them in bulk; without it every class member is constructed and judged by
-    the ordinary property checkers.  Both report the same outcome and the
-    same first counterexample, since the aggregation keeps stream order.
-    ``audit_survivors=False`` restricts the aggregation to target-beating
-    subtrees only: much faster, same outcome and counterexample, but the
-    survivor totals and payment audit are not collected (examined then
-    counts candidate counterexamples only).
+    them in bulk; without it every class member is built and judged by the
+    ordinary property checkers, the slow reference.  Both judge a survivor's
+    ratio and payments by the same predicate table, and both report the same
+    outcome, totals and first counterexample, since the aggregation keeps
+    stream order.  ``audit_survivors=False`` restricts the aggregation to
+    target-beating subtrees only: much faster, same outcome and
+    counterexample, but the survivor totals and payment audit are not
+    collected (examined then counts candidate counterexamples only).
     """
     target = Fraction(target_ratio)
     if target <= 1:
         raise ValueError("target ratio must exceed 1")
-    engine = _Engine(space, prune=prune)
-    t_num, t_den = target.numerator, target.denominator
+    if budget_seconds is not None and not budget_seconds >= 0:
+        raise ValueError(f"time budget must be a nonnegative number, got {budget_seconds!r}")
+    engine = _Engine(space, target)
     start = time.monotonic()
     deadline = None if budget_seconds is None else start + budget_seconds
     if prune:
-        verdict = _scan_aggregated(engine, space, t_num, t_den, deadline,
-                                   beating_only=not audit_survivors)
+        scan = _scan_aggregated(engine, space.max_depth, deadline, not audit_survivors)
     else:
-        verdict = _scan_plain(engine, space, t_num, t_den, deadline)
-    verdict.elapsed = time.monotonic() - start
-    return verdict
+        scan = _scan_plain(engine, space.max_depth, deadline)
+    outcome, counterexample, examined, survivors, audit = scan
+    return SearchVerdict(
+        outcome=outcome,
+        counterexample=counterexample,
+        examined=examined,
+        survivors=survivors,
+        elapsed=time.monotonic() - start,
+        class_description=space.describe(),
+        audit=audit,
+    )
 
 
 def _fresh_audit(applicable: bool) -> dict:
@@ -771,66 +694,49 @@ def _fresh_audit(applicable: bool) -> dict:
     }
 
 
-def _scan_aggregated(engine: _Engine, space: SearchSpace, t_num: int, t_den: int,
-                     deadline, beating_only: bool = False) -> SearchVerdict:
-    agg = _Aggregator(engine, t_num, t_den, deadline, beating_only=beating_only)
-    audit = _fresh_audit(agg.audit_profiles is not None and not beating_only)
+def _tally(audit: dict, flags: tuple, count: int) -> None:
+    """Add ``count`` survivors with these flags to an applicable audit."""
+    _, beats_minmn, low_viol, square_viol = flags
+    audit["survivors_checked"] += count
+    if low_viol:
+        audit["low_profile_bound_failures"] += count
+    if beats_minmn:
+        audit["square_bound_premise_met"] += count
+        if square_viol:
+            audit["square_bound_failures"] += count
+
+
+def _scan_aggregated(engine: _Engine, max_depth: int, deadline, beating_only: bool) -> tuple:
+    """(outcome, counterexample, examined, survivors, audit) of the aggregated scan."""
+    agg = _Aggregator(engine, deadline, beating_only=beating_only)
+    audit = _fresh_audit(engine.audit_applicable and not beating_only)
     try:
-        root, _ = agg.classes(engine.root_masks(), space.max_depth)
+        root, _ = agg.classes(engine.root_masks(), max_depth)
     except _BudgetExceeded:
-        return SearchVerdict(
-            outcome="budget-exhausted",
-            counterexample=None,
-            examined=0,
-            survivors=0,
-            elapsed=0.0,
-            class_description=space.describe(),
-            audit=audit,
-        )
+        return "budget-exhausted", None, 0, 0, audit
     examined = 0
     counterexample = None
     for summary, flags, count, desc in root:
         examined += count
-        beats_target, beats_minmn, low_viol, square_viol = flags
         if audit["applicable"]:
-            audit["survivors_checked"] += count
-            if low_viol:
-                audit["low_profile_bound_failures"] += count
-            if beats_minmn:
-                audit["square_bound_premise_met"] += count
-                if square_viol:
-                    audit["square_bound_failures"] += count
-        if beats_target and counterexample is None:
+            _tally(audit, flags, count)
+        if flags[0] and counterexample is None:
             counterexample = engine.materialize(desc)
-    return SearchVerdict(
-        outcome="no-counterexample" if counterexample is None else "counterexample",
-        counterexample=counterexample,
-        examined=examined,
-        survivors=examined,
-        elapsed=0.0,
-        class_description=space.describe(),
-        audit=audit,
-    )
+    outcome = "no-counterexample" if counterexample is None else "counterexample"
+    return outcome, counterexample, examined, examined, audit
 
 
-def _scan_plain(engine: _Engine, space: SearchSpace, t_num: int, t_den: int,
-                deadline) -> SearchVerdict:
-    setting = engine.setting
-    minmn = min(setting.m, setting.n)
-    audit_profiles = _mu_audit_profiles(engine)
-    audit = _fresh_audit(audit_profiles is not None)
-    opt = engine.opt
-    sw = engine.sw
+def _scan_plain(engine: _Engine, max_depth: int, deadline) -> tuple:
+    """The same for the member-by-member stream judged by the checkers."""
+    audit = _fresh_audit(engine.audit_applicable)
+    root_masks = engine.root_masks()
     examined = 0
     survivors = 0
-    counterexample = None
-    outcome = "no-counterexample"
-
-    for descriptor in engine.subtrees(engine.root_masks(), space.max_depth):
+    for descriptor in engine.subtrees(root_masks, max_depth):
+        # before the first member, so a zero budget stops, then every 1024
+        if deadline is not None and not examined & 0x3FF and time.monotonic() >= deadline:
+            return "budget-exhausted", None, examined, survivors, audit
         examined += 1
-        if deadline is not None and not examined & 0x3FF and time.monotonic() > deadline:
-            outcome = "budget-exhausted"
-            break
         bundle = engine.materialize(descriptor)
         if not (
             check_osp(*bundle.checker_args()).passed
@@ -839,50 +745,9 @@ def _scan_plain(engine: _Engine, space: SearchSpace, t_num: int, t_den: int,
         ):
             continue
         survivors += 1
-        realized = engine.realized
-        beats_target = True
-        beats_minmn = True
-        for p in range(engine.profile_count):
-            w = sw[realized[p][0]][p]
-            o = opt[p]
-            if w == 0:
-                if o != 0:
-                    beats_target = beats_minmn = False
-                    break
-                continue
-            if not o * t_den < w * t_num:
-                beats_target = False
-            if not o < w * minmn:
-                beats_minmn = False
-            if not beats_target and not beats_minmn:
-                break
-        if audit_profiles is not None:
-            low_idx, spike_idx, square = audit_profiles
-            audit["survivors_checked"] += 1
-            ai, pays = realized[low_idx]
-            alloc = engine.allocations[ai]
-            if any(alloc[i] and pays[i] > engine.scale for i in range(engine.n)):
-                audit["low_profile_bound_failures"] += 1
-            if beats_minmn:
-                audit["square_bound_premise_met"] += 1
-                ai2, pays2 = realized[spike_idx]
-                alloc2 = engine.allocations[ai2]
-                if any(
-                    alloc2[i] >= setting.m and pays2[i] > square
-                    for i in range(engine.n)
-                ):
-                    audit["square_bound_failures"] += 1
-        if beats_target:
-            counterexample = engine.materialize(descriptor)
-            outcome = "counterexample"
-            break
-
-    return SearchVerdict(
-        outcome=outcome,
-        counterexample=counterexample,
-        examined=examined,
-        survivors=survivors,
-        elapsed=0.0,
-        class_description=space.describe(),
-        audit=audit,
-    )
+        flags = engine.tree_flags(descriptor, root_masks)
+        if audit["applicable"]:
+            _tally(audit, flags, 1)
+        if flags[0]:
+            return "counterexample", bundle, examined, survivors, audit
+    return "no-counterexample", None, examined, survivors, audit

@@ -171,24 +171,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         config.write_text(json.dumps(entry))
         code, _, err = run_cli(capsys, *search, "--config", str(config))
         assert code == 2 and repr(next(iter(entry))) in err
-
-
-def test_workers_env_validation(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("OSPCHECK_WORKERS", "0")
-    from ospcheck import AuctionSetting, adversarial_domain
-    from ospcheck.serialize import serialize_domain
-
-    mu = AuctionSetting(kind="multi-unit", n=2, m=2)
-    domain_path = tmp_path / "dom.json"
-    domain_path.write_text(serialize_domain(adversarial_domain(mu, "mu-single-minded")))
-    code, _, err = run_cli(
-        capsys, "search", "--domain", str(domain_path), "--target-ratio", "2",
-        "--grid", "0,1", "--budget", "5",
-    )
-    assert code == 2 and "OSPCHECK_WORKERS" in err
+    # a NaN budget is never reached, a negative one is meaningless
+    for budget in ("nan", "-1"):
+        code, _, err = run_cli(capsys, *search, "--grid", "0,1", "--budget", budget)
+        assert code == 2 and "budget" in err
+    config.write_text('{"budget_seconds": NaN}')
+    code, _, err = run_cli(capsys, *search, "--grid", "0,1", "--config", str(config))
+    assert code == 2 and "budget" in err
 
 
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
-    assert "verify" in out and "search" in out and "OSPCHECK_WORKERS" in out
+    assert "verify" in out and "search" in out

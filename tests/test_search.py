@@ -17,6 +17,7 @@ from ospcheck import (
     default_payment_grid,
     enumerate_normalized_mechanisms,
     falsify_impossibility,
+    mu_payment_bounds,
     welfare_ratio,
 )
 from ospcheck.serialize import serialize_mechanism
@@ -151,6 +152,35 @@ def test_aggregated_totals_match_checker_by_checker_scan_both_speaking():
     assert serialize_mechanism(on.counterexample) == serialize_mechanism(off.counterexample)
 
 
+def test_aggregated_audit_matches_checkers():
+    # every stream member judged by the checkers alone: welfare_ratio for the
+    # premise (ratio below min(m, n) = 2), mu_payment_bounds for both bounds
+    space = _sub_space(grid=(Fraction(0), Fraction(5)))
+    members = survivors = premise = low_failures = square_failures = 0
+    for bundle in enumerate_normalized_mechanisms(space):
+        members += 1
+        args = bundle.checker_args()
+        if not (check_osp(*args).passed and check_ir(*args).passed and check_nnt(*args).passed):
+            continue
+        survivors += 1
+        ratio = welfare_ratio(*args)
+        bounds = mu_payment_bounds(*args)
+        low_failures += not bounds.winners_pay_at_most_one
+        if not ratio.unbounded and ratio.ratio < 2:
+            premise += 1
+            square_failures += bounds.all_units_within_square is False
+    assert (members, survivors, premise, square_failures, low_failures) == (57048, 458, 23, 9, 0)
+    on = falsify_impossibility(space, Fraction(2), prune=True)
+    assert on.survivors == survivors
+    assert on.audit == {
+        "applicable": True,
+        "survivors_checked": survivors,
+        "low_profile_bound_failures": low_failures,
+        "square_bound_premise_met": premise,
+        "square_bound_failures": square_failures,
+    }
+
+
 def test_counterexample_reverifies():
     space = _sub_space()
     verdict = falsify_impossibility(space, Fraction(2))
@@ -179,6 +209,8 @@ def test_budget_exhaustion():
     # a scan too small to reach the periodic check in the join still stops
     small = falsify_impossibility(_sub_space(), Fraction(2), budget_seconds=0.0)
     assert small.outcome == "budget-exhausted"
+    stream = falsify_impossibility(_sub_space(), Fraction(2), budget_seconds=0.0, prune=False)
+    assert stream.outcome == "budget-exhausted"
 
 
 def test_verdict_carries_class_description_and_caveat():
