@@ -85,9 +85,15 @@ def _players(domain) -> tuple:
 
 
 def _realized(tree: MechanismTree, strategies: Sequence, domain):
-    """Yield (profile, behaviors, leaf_id, path) in deterministic order."""
-    for profile in itertools.product(*_players(domain)):
-        behaviors = tuple(strategies[i][profile[i]] for i in range(tree.setting.n))
+    """Yield (profile, behaviors, leaf_id, path) in deterministic order.
+
+    Plans are looked up once per player and valuation, then walked by
+    position in the same product order as the profiles: hashing a valuation
+    per profile would hash every ``Fraction`` in it each time.
+    """
+    players = _players(domain)
+    plans = [[strategies[i][v] for v in vs] for i, vs in enumerate(players)]
+    for profile, behaviors in zip(itertools.product(*players), itertools.product(*plans)):
         leaf_id, path = run(tree, behaviors)
         yield profile, behaviors, leaf_id, path
 

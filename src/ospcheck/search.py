@@ -23,7 +23,7 @@ obvious strategy-proofness condition at that node.  Profiles covered by
 siblings are disjoint, so the count of a joined class is the product of its
 parts.
 
-Two reductions keep the join small:
+Three reductions keep the join small:
 
 * The class key holds no row for a player whose consistent set is still
   full.  A row is read only by an ancestor where its player speaks, and then
@@ -35,6 +35,12 @@ Two reductions keep the join small:
   gets, per speaker, threshold tables of bitsets (Python ints) over emax and
   rmin, and a child's candidate set is the AND of one lookup per valuation
   of the blocks involved, visited lowest bit first.
+* Siblings are joined level by level over prefix classes, not once per
+  combination.  A later child reads the classes chosen for earlier siblings
+  only through the speaker's row of their partial summary, and the other
+  rows and the flags fold associatively, so prefixes with an equal partial
+  state are interchangeable: each level keeps one group per state, with the
+  summed count and the first prefix, in stream order.
 
 Both scans judge a tree by the same four flags, read from one predicate
 table that ``_Engine`` builds for the target of the call: per allocation,
@@ -54,6 +60,7 @@ the slow reference the tests compare the aggregated scan against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from bisect import bisect_right
@@ -416,9 +423,10 @@ class _Aggregator:
     flags from ``_Engine.leaf_flags``.  Both the sibling join and the final
     verdict depend only on those, and the covered profile sets of siblings
     are disjoint, so classes compose: the count of a joined class is the
-    product of its parts, and its flags are their ``_fold_flags``.  One
-    first-encountered descriptor per class is kept so a counterexample can
-    still be materialized.
+    product of its parts, its rows are their elementwise (min rmin, max
+    emax), and its flags are their ``_fold_flags``.  One first-encountered
+    descriptor per class is kept so a counterexample can still be
+    materialized.
 
     Class entry layout: (summary, flags, count, descriptor) where summary is
     a per-player tuple of rows and flags is (beats_target, beats_minmn,
@@ -427,9 +435,11 @@ class _Aggregator:
     player's consistent set is still full: such a player has not spoken on
     the path from the root, so no ancestor ever compares that row.
 
-    Each memo entry is (classes, join_index), where join_index maps a
+    Each memo entry is (classes, join_index, row_ids).  join_index maps a
     speaker to the bitset tables ``_combine`` uses when that list is joined
-    as a child of a node where the speaker speaks.
+    as a child of a node where the speaker speaks; row_ids gives each class's
+    summary as ids of interned rows, so the join hashes and folds small ints.
+    Counts are Python ints: they pass 2**63 on 5 x 5 domains.
     """
 
     def __init__(self, engine: _Engine, deadline=None, beating_only: bool = False):
@@ -439,27 +449,45 @@ class _Aggregator:
         self.full = engine.root_masks()
         self.memo: dict = {}
         self.work = 0
+        self.row_ids: dict = {}
+        self.row_of: list = []
+        self.fold_rows = functools.cache(self._fold_rows)
+        self.fold_flags = functools.cache(lambda a, b: _fold_flags((a, b)))
+
+    def _tick(self, steps: int) -> None:
+        """Count leaves or join extensions; check the deadline every 4096."""
+        self.work += steps
+        if self.deadline is not None and self.work >> 12 != (self.work - steps) >> 12:
+            if time.monotonic() >= self.deadline:
+                raise _BudgetExceeded
 
     def _leaf_summary(self, masks: tuple, ai: int, pays: tuple) -> tuple:
         e = self.e
-        out = []
-        for j in range(e.n):
-            if masks[j] == self.full[j]:
-                out.append(())
-                continue
-            pay = pays[j]
-            row = []
-            for vi in range(e.sizes[j]):
-                u = e.val[(j, vi, ai)] - pay
-                rmin = u if masks[j] >> vi & 1 else _BIG
-                row.append((rmin, u))
-            out.append(tuple(row))
-        return tuple(out)
+        utilities = [[e.val[(j, vi, ai)] - pays[j] for vi in range(e.sizes[j])] for j in range(e.n)]
+        return tuple(
+            () if masks[j] == self.full[j]
+            else tuple((u if masks[j] >> vi & 1 else _BIG, u) for vi, u in enumerate(utilities[j]))
+            for j in range(e.n)
+        )
+
+    def _row_id(self, row: tuple) -> int:
+        got = self.row_ids.get(row)
+        if got is None:
+            got = self.row_ids[row] = len(self.row_of)
+            self.row_of.append(row)
+        return got
+
+    def _fold_rows(self, a: int, b: int) -> int:
+        """Id of the elementwise (min rmin, max emax) of rows ``a`` and ``b``."""
+        return self._row_id(tuple(
+            (r if r < s else s, e if e > f else f)
+            for (r, e), (s, f) in zip(self.row_of[a], self.row_of[b])
+        ))
 
     # -- composition ------------------------------------------------------
 
     def classes(self, masks: tuple, depth: int) -> tuple:
-        """Memo entry (classes, join_index) for every subtree at ``masks``."""
+        """Memo entry (classes, join_index, row_ids) for every subtree at ``masks``."""
         # beyond full refinement of every consistent set, extra depth adds
         # no trees; collapsing the key avoids recomputing identical lists
         refinement = sum(max(bin(m).count("1") - 1, 0) for m in masks)
@@ -471,27 +499,19 @@ class _Aggregator:
             raise _BudgetExceeded
         e = self.e
         table: dict = {}
-        order: list = []
 
         def insert(summary, flags, count, desc) -> None:
-            k = (summary, flags)
-            entry = table.get(k)
+            entry = table.get((summary, flags))
             if entry is None:
-                table[k] = [summary, flags, count, desc]
-                order.append(k)
+                table[summary, flags] = [summary, flags, count, desc]
             else:
                 entry[2] += count
 
         for ai, pays in e._leaf_options(masks):
+            self._tick(1)
             flags = e.leaf_flags(masks, ai, pays)
-            if self.beating_only and not flags[0]:
-                continue
-            insert(
-                self._leaf_summary(masks, ai, pays),
-                flags,
-                1,
-                ("leaf", ai, pays),
-            )
+            if not self.beating_only or flags[0]:
+                insert(self._leaf_summary(masks, ai, pays), flags, 1, ("leaf", ai, pays))
         if depth >= 1:
             for j in range(e.n):
                 if bin(masks[j]).count("1") < 2:
@@ -502,16 +522,17 @@ class _Aggregator:
                         for block in blocks
                     ]
                     self._combine(j, blocks, children, masks, insert)
-        # first-encounter order makes the stored representative of each class
-        # the stream-first member, so counterexamples match the raw stream
-        got = ([tuple(table[k]) for k in order], {})
+        # first-encounter (insertion) order makes the stored representative of
+        # each class the stream-first member, so counterexamples match the stream
+        classes = [tuple(entry) for entry in table.values()]
+        got = (classes, {}, [tuple(map(self._row_id, c[0])) for c in classes])
         self.memo[key] = got
         return got
 
     def _join_index(self, child: tuple, j: int) -> tuple:
         """(by_emax, by_neg_rmin): per valuation of speaker ``j``, tables for
         ``_at_most`` over the child's classes by emax and by negated rmin."""
-        classes, join_index = child
+        classes, join_index, _ = child
         got = join_index.get(j)
         if got is None:
             valuations = range(self.e.sizes[j])
@@ -521,80 +542,59 @@ class _Aggregator:
             )
         return got
 
-    def _merge(self, j: int, owner: list, parts: list, masks: tuple) -> tuple:
-        """Summary of a node where ``j`` speaks; ``owner[vi]`` is the index of
-        the part whose block holds ``j``'s valuation vi, or None."""
-        out = []
-        for jj, rows in enumerate(zip(*parts)):
-            if masks[jj] == self.full[jj]:
-                out.append(())
-                continue
-            row = []
-            for vi, pairs in enumerate(zip(*rows)):
-                rmins, emaxs = zip(*pairs)
-                if jj == j:
-                    rmin = _BIG if owner[vi] is None else rmins[owner[vi]]
-                else:
-                    rmin = min(rmins)
-                row.append((rmin, max(emaxs)))
-            out.append(tuple(row))
-        return tuple(out)
-
     def _combine(self, j: int, blocks: tuple, children: list, masks: tuple, insert) -> None:
         """Insert every compatible choice of one class per child, in stream order.
 
         Siblings s < t are compatible when, for speaker ``j``, child t's emax
         stays at most child s's rmin on s's block and child t's rmin stays at
-        least child s's emax on t's block.  Choosing a class at level s
-        narrows each later level's candidate bitset by one table lookup per
-        valuation of both blocks; candidates are then visited lowest bit
-        first, which is list order.
+        least child s's emax on t's block.  So child t reads a prefix (one
+        class per earlier child) only through the speaker's row of its partial
+        summary: the owner's rmin on each earlier block (the other children
+        hold ``_BIG`` there) and the max emax over earlier siblings.  The other
+        rows and the flags fold associatively, so prefixes with equal partial
+        rows and flags are one group, with the summed count and the
+        lexicographically first prefix.  Groups are walked in dict order and
+        candidates lowest bit first, so each level's dict fills in order of
+        first prefixes (a new group's first prefix extends that of the
+        earliest group reaching it): the depth-first stream's order.
         """
-        lists = [child[0] for child in children]
         indexes = [self._join_index(child, j) for child in children]
-        size = self.e.sizes[j]
-        members = [[vi for vi in range(size) if b >> vi & 1] for b in blocks]
-        owner = [next((t for t, b in enumerate(blocks) if b >> vi & 1), None)
-                 for vi in range(size)]
-        last = len(blocks)
-        chosen: list = []
-
-        # allowed[k] is the candidate bitset of level t + k given chosen[:t]
-        def rec(t: int, allowed: tuple) -> None:
-            self.work += 1
-            if self.deadline is not None and not self.work & 0xFFF:
-                if time.monotonic() >= self.deadline:
-                    raise _BudgetExceeded
-            if t == last:
-                summary = self._merge(j, owner, [c[0] for c in chosen], masks)
-                flags = _fold_flags(c[1] for c in chosen)
-                count = 1
-                for c in chosen:
-                    count *= c[2]
-                desc = ("node", j, blocks, tuple(c[3] for c in chosen))
-                insert(summary, flags, count, desc)
-                return
-            candidates = lists[t]
-            for i in _set_bits(allowed[0]):
-                cand = candidates[i]
-                row = cand[0][j]
-                narrowed = []
-                for u in range(t + 1, last):
-                    bits = allowed[u - t]
-                    by_emax, by_neg_rmin = indexes[u]
-                    for vi in members[t]:
+        members = [[vi for vi in range(self.e.sizes[j]) if b >> vi & 1] for b in blocks]
+        row_of, fold_rows, fold_flags = self.row_of, self.fold_rows, self.fold_flags
+        groups = [(rows, c[1], c[2], (c[3],)) for c, rows in zip(children[0][0], children[0][2])]
+        for t in range(1, len(blocks)):
+            candidates, _, cand_rows = children[t]
+            by_emax, by_neg_rmin = indexes[t]
+            earlier = [vi for block in members[:t] for vi in block]
+            everyone = (1 << len(candidates)) - 1
+            allowed: dict = {}
+            level: dict = {}
+            for rows, flags, count, prefix in groups:
+                bits = allowed.get(rows[j])
+                if bits is None:
+                    row = row_of[rows[j]]
+                    bits = everyone
+                    for vi in earlier:
                         bits &= _at_most(by_emax[vi], row[vi][0])
-                    for vi in members[u]:
+                    for vi in members[t]:
                         bits &= _at_most(by_neg_rmin[vi], -row[vi][1])
-                    if not bits:
-                        break
-                    narrowed.append(bits)
-                else:
-                    chosen.append(cand)
-                    rec(t + 1, tuple(narrowed))
-                    chosen.pop()
-
-        rec(0, tuple((1 << len(lst)) - 1 for lst in lists))
+                    allowed[rows[j]] = bits
+                self._tick(bits.bit_count())
+                for i in _set_bits(bits):
+                    _, cand_flags, cand_count, desc = candidates[i]
+                    key = (tuple(map(fold_rows, rows, cand_rows[i])), fold_flags(flags, cand_flags))
+                    entry = level.get(key)
+                    if entry is None:
+                        level[key] = [count * cand_count, prefix + (desc,)]
+                    else:
+                        entry[0] += count * cand_count
+            groups = [(rows, f, count, prefix) for (rows, f), (count, prefix) in level.items()]
+        # the speaker's row is dropped if its set is full here; ``insert``
+        # then merges the groups that differed only there, keeping the first
+        for rows, flags, count, prefix in groups:
+            summary = tuple(() if jj == j and masks[j] == self.full[j] else row_of[r]
+                            for jj, r in enumerate(rows))
+            insert(summary, flags, count, ("node", j, blocks, prefix))
 
 
 def _threshold_table(values: list) -> tuple:
@@ -711,7 +711,7 @@ def _scan_aggregated(engine: _Engine, max_depth: int, deadline, beating_only: bo
     agg = _Aggregator(engine, deadline, beating_only=beating_only)
     audit = _fresh_audit(engine.audit_applicable and not beating_only)
     try:
-        root, _ = agg.classes(engine.root_masks(), max_depth)
+        root, _, _ = agg.classes(engine.root_masks(), max_depth)
     except _BudgetExceeded:
         return "budget-exhausted", None, 0, 0, audit
     examined = 0

@@ -244,3 +244,70 @@ def oracle_decisive(tree, nid, player, bundle, price) -> bool:
         ):
             return True
     return False
+
+
+def oracle_combine(agg, j, blocks, children, masks, insert) -> None:
+    """The sibling join as one depth-first pass over every compatible
+    combination of child classes, each merged on its own.
+
+    A drop-in for ``_Aggregator._combine`` (bind ``agg``): compatible choices
+    are found with the aggregator's bitset tables, visited lowest bit first,
+    and each complete combination is merged row by row and inserted, so
+    classes arrive in stream order with no grouping of prefixes.
+    """
+    from ospcheck.search import _BIG, _at_most, _fold_flags, _set_bits
+
+    lists = [child[0] for child in children]
+    indexes = [agg._join_index(child, j) for child in children]
+    size = agg.e.sizes[j]
+    members = [[vi for vi in range(size) if b >> vi & 1] for b in blocks]
+    owner = [next((t for t, b in enumerate(blocks) if b >> vi & 1), None) for vi in range(size)]
+    last = len(blocks)
+    chosen: list = []
+
+    def merge(parts):
+        out = []
+        for jj, rows in enumerate(zip(*parts)):
+            if masks[jj] == agg.full[jj]:
+                out.append(())
+                continue
+            row = []
+            for vi, pairs in enumerate(zip(*rows)):
+                rmins, emaxs = zip(*pairs)
+                if jj == j:
+                    rmin = _BIG if owner[vi] is None else rmins[owner[vi]]
+                else:
+                    rmin = min(rmins)
+                row.append((rmin, max(emaxs)))
+            out.append(tuple(row))
+        return tuple(out)
+
+    # allowed[k] is the candidate bitset of level t + k given chosen[:t]
+    def rec(t, allowed):
+        if t == last:
+            count = 1
+            for c in chosen:
+                count *= c[2]
+            insert(merge([c[0] for c in chosen]), _fold_flags(c[1] for c in chosen), count,
+                   ("node", j, blocks, tuple(c[3] for c in chosen)))
+            return
+        for i in _set_bits(allowed[0]):
+            cand = lists[t][i]
+            row = cand[0][j]
+            narrowed = []
+            for u in range(t + 1, last):
+                bits = allowed[u - t]
+                by_emax, by_neg_rmin = indexes[u]
+                for vi in members[t]:
+                    bits &= _at_most(by_emax[vi], row[vi][0])
+                for vi in members[u]:
+                    bits &= _at_most(by_neg_rmin[vi], -row[vi][1])
+                if not bits:
+                    break
+                narrowed.append(bits)
+            else:
+                chosen.append(cand)
+                rec(t + 1, tuple(narrowed))
+                chosen.pop()
+
+    rec(0, tuple((1 << len(lst)) - 1 for lst in lists))

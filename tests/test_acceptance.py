@@ -390,3 +390,43 @@ def test_augmented_fixture_restores_impossibility():
     announce("supplementary (augmented fixture)", ok, elapsed,
              f"outcome {verdict.outcome}: no mechanism in the class beats min(m,n)")
     assert ok
+
+
+@pytest.mark.parametrize(
+    "family, examined, digest, ratio",
+    [
+        ("additive", 150_320_604_432,
+         "c3b4a4defd9c771ca4e3df511464282403a5c4caeb02740dc10d0d435ca55ea1", Fraction(18, 11)),
+        ("unit-demand", 320_061_291_128,
+         "f2feab7b937bd45ac849146b9be3cdba105b2266d82b85819b991e82ac3141f5", Fraction(1)),
+        ("ca-single-minded", 0, None, None),
+    ],
+    ids=["additive", "unit-demand", "ca-single-minded"],
+)
+def test_combinatorial_fixture_refute_scan(family, examined, digest, ratio):
+    """Supplementary: the target-2 refute scan over the two-item, two-bidder
+    fixture of each combinatorial family, on grid {0, 1}.  The additive and
+    unit-demand fixtures admit an OSP, IR and NNT mechanism beating ratio 2
+    (charging nothing, each bidder winning at most one item); the
+    single-minded one admits none on this grid."""
+    from ospcheck.serialize import serialize_mechanism
+
+    t0 = time.monotonic()
+    domain = adversarial_domain(CA22, family)
+    space = SearchSpace(domain=domain, payment_grid=(Fraction(0), Fraction(1)))
+    verdict = falsify_impossibility(space, Fraction(2), budget_seconds=600, audit_survivors=False)
+    assert verdict.examined == examined
+    if digest is None:
+        assert verdict.outcome == "no-counterexample"
+        detail = "no mechanism in the class beats min(m,n)"
+    else:
+        assert verdict.outcome == "counterexample"
+        bundle = verdict.counterexample
+        text = serialize_mechanism(bundle)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        for chk in (check_osp, check_ir, check_nnt):
+            assert chk(*bundle.checker_args()).passed
+        report = welfare_ratio(*bundle.checker_args())
+        assert not report.unbounded and report.ratio == ratio
+        detail = f"counterexample re-verified at ratio {report.ratio}"
+    announce(f"supplementary ({family} fixture)", True, time.monotonic() - t0, detail)

@@ -1,5 +1,7 @@
 """Search engine: stream counts, pruning agreement, verdict plumbing."""
 
+import functools
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,10 @@ from ospcheck import (
     mu_payment_bounds,
     welfare_ratio,
 )
+from ospcheck.search import _Aggregator, _Engine
 from ospcheck.serialize import serialize_mechanism
+
+from helpers import oracle_combine
 
 CA11 = AuctionSetting(kind="combinatorial", n=1, m=1)
 MU22 = AuctionSetting(kind="multi-unit", n=2, m=2)
@@ -181,6 +186,39 @@ def test_aggregated_audit_matches_checkers():
     }
 
 
+def test_prefix_join_matches_per_combination_oracle():
+    # every memo key's class list, entry by entry (summary, flags, count,
+    # descriptor) and in order, against the join that merges each
+    # combination of child classes on its own
+    dom = adversarial_domain(MU22, "mu-single-minded")
+    k = max(MU22.m, MU22.n)
+    square = SingleMindedMU(quantity=MU22.m, value=Fraction(k**2))
+    cases = [  # (domain, beating_only, classes over all memo keys)
+        (dom, False, 5018),
+        (Domain(setting=MU22, players=tuple(vs[:2] for vs in dom.players)), False, 91),
+        (Domain(setting=MU22, players=tuple(vs + (square,) if len(vs) > 1 else vs
+                                            for vs in dom.players)), True, 6014),
+    ]
+    grid = (Fraction(0), Fraction(1), Fraction(5))
+    for domain, beating_only, size in cases:
+        space = SearchSpace(domain=domain, payment_grid=grid)
+        engine = _Engine(space, Fraction(2))
+        memos = []
+        for combine in (None, oracle_combine):
+            agg = _Aggregator(engine, beating_only=beating_only)
+            if combine is not None:
+                agg._combine = functools.partial(combine, agg)
+            agg.classes(engine.root_masks(), space.max_depth)
+            memos.append({key: entry[0] for key, entry in agg.memo.items()})
+        prefix, oracle = memos
+        assert prefix.keys() == oracle.keys()
+        for key, classes in oracle.items():
+            assert len(prefix[key]) == len(classes), key
+            for got, want in zip(prefix[key], classes):
+                assert got == want, key
+        assert sum(map(len, oracle.values())) == size
+
+
 def test_counterexample_reverifies():
     space = _sub_space()
     verdict = falsify_impossibility(space, Fraction(2))
@@ -211,6 +249,11 @@ def test_budget_exhaustion():
     assert small.outcome == "budget-exhausted"
     stream = falsify_impossibility(_sub_space(), Fraction(2), budget_seconds=0.0, prune=False)
     assert stream.outcome == "budget-exhausted"
+    # the join and the leaf tables check the deadline as they go
+    start = time.monotonic()
+    short = falsify_impossibility(space, Fraction(2), budget_seconds=0.3)
+    assert short.outcome == "budget-exhausted"
+    assert short.elapsed < 2 and time.monotonic() - start < 2
 
 
 def test_verdict_carries_class_description_and_caveat():
