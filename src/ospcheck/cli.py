@@ -31,14 +31,10 @@ from .serialize import (
     serialize_mechanism,
 )
 from .structure import audit_ascending_structure
-from .valuations import (
-    Domain,
-    ValuationError,
-    adversarial_domain,
-    restricted_additive_domain,
-)
+from .valuations import ValuationError, adversarial_domain, restricted_additive_domain
 
 CHECKS = {"osp": check_osp, "dsic": check_dsic, "ir": check_ir, "nnt": check_nnt}
+SEARCH_CONFIG_KEYS = ("domain", "target_ratio", "grid", "max_depth", "budget_seconds")
 
 
 class UsageError(Exception):
@@ -121,17 +117,6 @@ def _config_entry(config: dict, key: str, types: tuple, what: str):
     return value
 
 
-def _infer_grid_family(domain: Domain) -> str:
-    tags = {v.tag for vs in domain.players for v in vs}
-    if "single-minded-mu" in tags or "general-mu" in tags:
-        return "mu-single-minded"
-    if tags == {"additive"}:
-        return "additive"
-    if tags == {"unit-demand"}:
-        return "unit-demand"
-    return "ca-single-minded"
-
-
 def _cmd_search(args) -> int:
     report = ReportDocument(command="search")
     config = {}
@@ -144,6 +129,12 @@ def _cmd_search(args) -> int:
             raise ParseError(f"config syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}")
         if not isinstance(config, dict):
             raise ParseError("search config must be a JSON object")
+        for key in config:
+            if key not in SEARCH_CONFIG_KEYS:
+                raise UsageError(
+                    f"unknown search config entry {key!r} "
+                    f"(choose from {', '.join(SEARCH_CONFIG_KEYS)})"
+                )
 
     domain_src = args.domain or config.get("domain")
     if domain_src is None:
@@ -160,7 +151,7 @@ def _cmd_search(args) -> int:
     else:
         levels = _config_entry(config, "grid", (list,), "a list of payment levels")
     if levels is None:
-        grid = default_payment_grid(domain.setting, _infer_grid_family(domain))
+        grid = default_payment_grid(domain.setting)
     else:
         grid = tuple(_parse_fraction(str(g), "grid entry") for g in levels)
 
@@ -175,12 +166,10 @@ def _cmd_search(args) -> int:
     budget = args.budget
     if budget is None:
         budget = _config_entry(config, "budget_seconds", (int, float), "a number")
-    prune = _config_entry(config, "prune", (bool,), "true or false") is not False
-    prune = prune and not args.no_prune
 
     try:
         space = SearchSpace(domain=domain, payment_grid=grid, max_depth=depth)
-        verdict = falsify_impossibility(space, target, budget_seconds=budget, prune=prune)
+        verdict = falsify_impossibility(space, target, budget_seconds=budget)
     except ValueError as exc:
         raise UsageError(str(exc))
     report.add(search_item(verdict))
@@ -270,9 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="comma list of payment levels (default: impossibility-argument thresholds)")
     p.add_argument("--max-depth", type=int, help="tree depth cap (default: total valuation count)")
     p.add_argument("--budget", type=float, help="time budget in seconds (default: unlimited)")
-    p.add_argument("--no-prune", action="store_true",
-                   help="build and check every mechanism one by one instead of "
-                   "counting equivalence classes (the slow reference scan)")
     common(p)
     p.set_defaults(func=_cmd_search)
     return parser

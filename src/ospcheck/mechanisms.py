@@ -71,13 +71,13 @@ class _Choices:
         return tuple(out)
 
 
-def second_price_single_item(K: int, speaking_order=(0, 1), tiebreak_winner: int = 0) -> MechanismBundle:
+def second_price_single_item(K: int, tiebreak_winner: int = 0) -> MechanismBundle:
     """Sequential second-price auction of one item between two bidders.
 
-    The first speaker announces a value in 1..K, the second responds, the
-    higher announcement wins (ties go to ``tiebreak_winner``), and the
-    winner pays the other's announcement.  Node names follow the usual
-    two-level picture: internal N1..N{K+1}, leaves L1..L{K*K}.
+    Player 0 announces a value in 1..K, player 1 responds, the higher
+    announcement wins (ties go to ``tiebreak_winner``), and the winner pays
+    the other's announcement.  Node names follow the usual two-level
+    picture: internal N1..N{K+1}, leaves L1..L{K*K}.
 
     Truthful play is obviously dominant only for the two-value instance
     with ties to the responder: with a third value the responder can reward
@@ -88,17 +88,14 @@ def second_price_single_item(K: int, speaking_order=(0, 1), tiebreak_winner: int
     if K < 1:
         raise MechanismError("K must be at least 1")
     setting = AuctionSetting(kind=COMBINATORIAL, n=2, m=1)
-    first, second = speaking_order
-    if {first, second} != {0, 1}:
-        raise MechanismError("speaking order must list players 0 and 1")
     if tiebreak_winner not in (0, 1):
         raise MechanismError("tiebreak winner must be a player id")
 
     def leaf(a: int, b: int) -> dict:
         if a > b:
-            winner, price = first, b
+            winner, price = 0, b
         elif b > a:
-            winner, price = second, a
+            winner, price = 1, a
         else:
             winner, price = tiebreak_winner, a
         alloc = [frozenset(), frozenset()]
@@ -113,11 +110,11 @@ def second_price_single_item(K: int, speaking_order=(0, 1), tiebreak_winner: int
 
     spec = {
         "id": "N1",
-        "speaker": first,
+        "speaker": 0,
         "edges": {
             str(a): {
                 "id": f"N{a + 1}",
-                "speaker": second,
+                "speaker": 1,
                 "edges": {str(b): leaf(a, b) for b in range(1, K + 1)},
             }
             for a in range(1, K + 1)
@@ -133,9 +130,9 @@ def second_price_single_item(K: int, speaking_order=(0, 1), tiebreak_winner: int
         ),
     )
     choices = _Choices(domain)
-    choices.record("N1", first, lambda v: str(v.values[0]))
+    choices.record("N1", 0, lambda v: str(v.values[0]))
     for a in range(1, K + 1):
-        choices.record(f"N{a + 1}", second, lambda v: str(v.values[0]))
+        choices.record(f"N{a + 1}", 1, lambda v: str(v.values[0]))
     return MechanismBundle(tree=tree, strategies=choices.tables(), domain=domain)
 
 

@@ -42,20 +42,22 @@ Three reductions keep the join small:
   state are interchangeable: each level keeps one group per state, with the
   summed count and the first prefix, in stream order.
 
-Both scans judge a tree by the same four flags, read from one predicate
-table that ``_Engine`` builds for the target of the call: per allocation,
-the profiles where it beats the target ratio and those where it beats
-min(m, n), plus the two profiles of the payment-bound audit.  A leaf's flags
-come from the profiles it covers (``_Engine.leaf_flags``), and a tree's are
-its leaves' flags folded by ``_fold_flags``; a tree's leaves cover disjoint
-profile sets whose union is every profile reaching the tree, so the fold is
-the verdict over those profiles.
+The scan judges a tree by four flags, read from one predicate table that
+``_Engine`` builds for the target of the call: per allocation, the profiles
+where it beats the target ratio and those where it beats min(m, n), plus
+the two profiles of the payment-bound audit.  A leaf's flags come from the
+profiles it covers (``_Engine.leaf_flags``), and a tree's are its leaves'
+flags folded by ``_fold_flags``; a tree's leaves cover disjoint profile sets
+whose union is every profile reaching the tree, so the fold is the verdict
+over those profiles.
 
 Classes are kept in first-encounter order, so the stored representative of
 each class is its first member in stream order, and the first counterexample
-is the one the member-by-member stream (``prune=False``: every member built
-and judged by the ordinary OSP, IR and NNT checkers) finds.  That stream is
-the slow reference the tests compare the aggregated scan against.
+is the first member of ``enumerate_normalized_mechanisms`` that the OSP, IR
+and NNT checkers pass and ``welfare_ratio`` puts below the target.  That
+stream is kept as the reference only: ``oracle_scan`` in the tests builds
+every member and judges it with the checkers alone, sharing nothing with the
+predicate table, and the tests compare its verdicts with this scan's.
 """
 
 from __future__ import annotations
@@ -69,14 +71,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional
 
-from .checkers import (
-    _mu_fixture_profiles,
-    check_ir,
-    check_nnt,
-    check_osp,
-    enumerate_allocations,
-    opt_welfare,
-)
+from .checkers import _mu_fixture_profiles, enumerate_allocations, opt_welfare
 from .mechanisms import MechanismBundle
 from .model import Behavior, build_tree
 from .valuations import Domain, evaluate
@@ -89,16 +84,18 @@ GRID_CAVEAT = (
 _BIG = 1 << 62
 
 
-def default_payment_grid(setting, family: str = "mu-single-minded") -> tuple:
+def default_payment_grid(setting) -> tuple:
     """Payment levels the impossibility arguments pin payments near.
 
-    Always includes the integers 0..5; adds the square/cube thresholds in
-    the flavor matching the valuation family.
+    The integers 0..5 and, with k = max(m, n), the thresholds k^2, k^2+1
+    and k^4; a combinatorial setting adds 2k^2, 2k^2+2 and 2k^3+k^2, the
+    item levels of its fixtures.  A domain's valuations all match the
+    setting's kind, so the setting alone decides the family.
     """
     k = Fraction(max(setting.m, setting.n))
     levels = {Fraction(t) for t in range(6)}
     levels.update({k**2, k**2 + 1, k**4})
-    if family in ("additive", "unit-demand", "ca-single-minded"):
+    if setting.is_combinatorial:
         levels.update({2 * k**2, 2 * k**2 + 2, 2 * k**3 + k**2})
     return tuple(sorted(levels))
 
@@ -173,7 +170,7 @@ def _partitions(elements: tuple) -> list:
 
 class _Engine:
     """Scaled integer tables of one search space; with a target ratio, also
-    the predicate table both scans judge trees by."""
+    the predicate table the scan judges trees by."""
 
     def __init__(self, space: SearchSpace, target: Optional[Fraction] = None):
         self.space = space
@@ -270,16 +267,6 @@ class _Engine:
             not covered & self.misses_minmn[ai],
             low_viol,
             square_viol,
-        )
-
-    def tree_flags(self, descriptor: tuple, masks: tuple) -> tuple:
-        """``leaf_flags`` folded over the leaves of a descriptor."""
-        if descriptor[0] == "leaf":
-            return self.leaf_flags(masks, descriptor[1], descriptor[2])
-        _, j, blocks, subs = descriptor
-        return _fold_flags(
-            self.tree_flags(sub, masks[:j] + (block,) + masks[j + 1:])
-            for block, sub in zip(blocks, subs)
         )
 
     # -- cached per-context tables -------------------------------------
@@ -637,7 +624,6 @@ def falsify_impossibility(
     space: SearchSpace,
     target_ratio,
     budget_seconds: Optional[float] = None,
-    prune: bool = True,
     audit_survivors: bool = True,
 ) -> SearchVerdict:
     """Scan the class for an OSP + IR + NNT mechanism beating ``target_ratio``.
@@ -650,12 +636,11 @@ def falsify_impossibility(
     adversarial multi-unit fixture, a bidder winning all units at the spike
     profile pays at most the square threshold.
 
-    With ``prune`` the scan aggregates interchangeable subtrees and counts
-    them in bulk; without it every class member is built and judged by the
-    ordinary property checkers, the slow reference.  Both judge a survivor's
-    ratio and payments by the same predicate table, and both report the same
-    outcome, totals and first counterexample, since the aggregation keeps
-    stream order.  ``audit_survivors=False`` restricts the aggregation to
+    The scan aggregates interchangeable subtrees and counts them in bulk.
+    It keeps stream order, so its outcome, totals and first counterexample
+    are those of building every member of ``enumerate_normalized_mechanisms``
+    and judging it with the property checkers, as the tests' ``oracle_scan``
+    does.  ``audit_survivors=False`` restricts the aggregation to
     target-beating subtrees only: much faster, same outcome and
     counterexample, but the survivor totals and payment audit are not
     collected (examined then counts candidate counterexamples only).
@@ -668,86 +653,37 @@ def falsify_impossibility(
     engine = _Engine(space, target)
     start = time.monotonic()
     deadline = None if budget_seconds is None else start + budget_seconds
-    if prune:
-        scan = _scan_aggregated(engine, space.max_depth, deadline, not audit_survivors)
-    else:
-        scan = _scan_plain(engine, space.max_depth, deadline)
-    outcome, counterexample, examined, survivors, audit = scan
-    return SearchVerdict(
-        outcome=outcome,
-        counterexample=counterexample,
-        examined=examined,
-        survivors=survivors,
-        elapsed=time.monotonic() - start,
-        class_description=space.describe(),
-        audit=audit,
-    )
-
-
-def _fresh_audit(applicable: bool) -> dict:
-    return {
-        "applicable": applicable,
+    audit = {
+        "applicable": engine.audit_applicable and audit_survivors,
         "survivors_checked": 0,
         "low_profile_bound_failures": 0,
         "square_bound_premise_met": 0,
         "square_bound_failures": 0,
     }
-
-
-def _tally(audit: dict, flags: tuple, count: int) -> None:
-    """Add ``count`` survivors with these flags to an applicable audit."""
-    _, beats_minmn, low_viol, square_viol = flags
-    audit["survivors_checked"] += count
-    if low_viol:
-        audit["low_profile_bound_failures"] += count
-    if beats_minmn:
-        audit["square_bound_premise_met"] += count
-        if square_viol:
-            audit["square_bound_failures"] += count
-
-
-def _scan_aggregated(engine: _Engine, max_depth: int, deadline, beating_only: bool) -> tuple:
-    """(outcome, counterexample, examined, survivors, audit) of the aggregated scan."""
-    agg = _Aggregator(engine, deadline, beating_only=beating_only)
-    audit = _fresh_audit(engine.audit_applicable and not beating_only)
-    try:
-        root, _, _ = agg.classes(engine.root_masks(), max_depth)
-    except _BudgetExceeded:
-        return "budget-exhausted", None, 0, 0, audit
     examined = 0
     counterexample = None
-    for summary, flags, count, desc in root:
-        examined += count
-        if audit["applicable"]:
-            _tally(audit, flags, count)
-        if flags[0] and counterexample is None:
-            counterexample = engine.materialize(desc)
-    outcome = "no-counterexample" if counterexample is None else "counterexample"
-    return outcome, counterexample, examined, examined, audit
-
-
-def _scan_plain(engine: _Engine, max_depth: int, deadline) -> tuple:
-    """The same for the member-by-member stream judged by the checkers."""
-    audit = _fresh_audit(engine.audit_applicable)
-    root_masks = engine.root_masks()
-    examined = 0
-    survivors = 0
-    for descriptor in engine.subtrees(root_masks, max_depth):
-        # before the first member, so a zero budget stops, then every 1024
-        if deadline is not None and not examined & 0x3FF and time.monotonic() >= deadline:
-            return "budget-exhausted", None, examined, survivors, audit
-        examined += 1
-        bundle = engine.materialize(descriptor)
-        if not (
-            check_osp(*bundle.checker_args()).passed
-            and check_ir(*bundle.checker_args()).passed
-            and check_nnt(*bundle.checker_args()).passed
-        ):
-            continue
-        survivors += 1
-        flags = engine.tree_flags(descriptor, root_masks)
-        if audit["applicable"]:
-            _tally(audit, flags, 1)
-        if flags[0]:
-            return "counterexample", bundle, examined, survivors, audit
-    return "no-counterexample", None, examined, survivors, audit
+    agg = _Aggregator(engine, deadline, beating_only=not audit_survivors)
+    try:
+        root, _, _ = agg.classes(engine.root_masks(), space.max_depth)
+    except _BudgetExceeded:
+        outcome = "budget-exhausted"
+    else:
+        for _, (beats_target, beats_minmn, low_viol, square_viol), count, desc in root:
+            examined += count
+            if audit["applicable"]:
+                audit["survivors_checked"] += count
+                audit["low_profile_bound_failures"] += count * low_viol
+                audit["square_bound_premise_met"] += count * beats_minmn
+                audit["square_bound_failures"] += count * (beats_minmn and square_viol)
+            if beats_target and counterexample is None:
+                counterexample = engine.materialize(desc)
+        outcome = "no-counterexample" if counterexample is None else "counterexample"
+    return SearchVerdict(
+        outcome=outcome,
+        counterexample=counterexample,
+        examined=examined,
+        survivors=examined,
+        elapsed=time.monotonic() - start,
+        class_description=space.describe(),
+        audit=audit,
+    )

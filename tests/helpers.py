@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from ospcheck import (
     AuctionSetting,
@@ -21,9 +23,15 @@ from ospcheck import (
     MechanismBundle,
     build_tree,
     bundle_contains,
+    check_ir,
+    check_nnt,
+    check_osp,
+    enumerate_normalized_mechanisms,
     evaluate,
+    mu_payment_bounds,
     run,
     utility,
+    welfare_ratio,
 )
 from ospcheck.checkers import BadGoodViolation
 
@@ -311,3 +319,75 @@ def oracle_combine(agg, j, blocks, children, masks, insert) -> None:
                 chosen.pop()
 
     rec(0, tuple((1 << len(lst)) - 1 for lst in lists))
+
+
+@dataclass
+class OracleScan:
+    """What ``oracle_scan`` found: ``members`` stream members built, of
+    which ``survivors`` pass OSP, IR and NNT; ``audit`` has the layout of
+    ``SearchVerdict.audit``."""
+
+    outcome: str
+    counterexample: Optional[MechanismBundle]
+    members: int
+    survivors: int
+    audit: dict
+
+
+def _payment_bounds(args):
+    """``mu_payment_bounds``, or None when the domain is not the adversarial
+    multi-unit fixture."""
+    try:
+        return mu_payment_bounds(*args)
+    except ValueError:
+        return None
+
+
+def oracle_scan(space, target, stop_at_first=False) -> OracleScan:
+    """The search verdict from every stream member, judged by the checkers alone.
+
+    Each member of ``enumerate_normalized_mechanisms`` is built and passed
+    to ``check_osp``, ``check_ir`` and ``check_nnt``.  A survivor beats a
+    ratio when ``welfare_ratio`` is bounded and below it; the first survivor
+    beating ``target`` is the counterexample, and with ``stop_at_first`` the
+    scan ends there, leaving the counts partial.  On the adversarial
+    multi-unit fixture every survivor is audited with ``mu_payment_bounds``:
+    a winner at the all-one profile paying more than 1 is a low-bound
+    failure, and a survivor beating min(m, n) meets the square-bound premise
+    and fails the bound when its all-units winner pays more than k^2.  No
+    scaled tables, predicate bitsets or class summaries are shared with
+    ``falsify_impossibility``.
+    """
+    target = Fraction(target)
+    setting = space.domain.setting
+    audit = {
+        "applicable": None,
+        "survivors_checked": 0,
+        "low_profile_bound_failures": 0,
+        "square_bound_premise_met": 0,
+        "square_bound_failures": 0,
+    }
+    members = survivors = 0
+    counterexample = None
+    for bundle in enumerate_normalized_mechanisms(space):
+        members += 1
+        args = bundle.checker_args()
+        if audit["applicable"] is None:  # a property of the domain alone
+            audit["applicable"] = _payment_bounds(args) is not None
+        if not (check_osp(*args).passed and check_ir(*args).passed and check_nnt(*args).passed):
+            continue
+        survivors += 1
+        report = welfare_ratio(*args)
+        if audit["applicable"]:
+            bounds = _payment_bounds(args)
+            premise = not report.unbounded and report.ratio < min(setting.m, setting.n)
+            audit["survivors_checked"] += 1
+            audit["low_profile_bound_failures"] += not bounds.winners_pay_at_most_one
+            audit["square_bound_premise_met"] += premise
+            audit["square_bound_failures"] += premise and bounds.all_units_within_square is False
+        if counterexample is None and not report.unbounded and report.ratio < target:
+            counterexample = bundle
+            if stop_at_first:
+                break
+    outcome = "no-counterexample" if counterexample is None else "counterexample"
+    return OracleScan(outcome, counterexample, members, survivors, audit)

@@ -41,7 +41,7 @@ from ospcheck.search import SearchSpace, default_payment_grid, falsify_impossibi
 from ospcheck.serialize import parse_mechanism
 from ospcheck.structure import audit_ascending_structure, is_decisive, minimal_price
 
-from helpers import oracle_decisive, random_instance
+from helpers import oracle_decisive, oracle_scan, random_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MU22 = AuctionSetting(kind="multi-unit", n=2, m=2)
@@ -171,9 +171,7 @@ def test_criterion_5_same_message_scan_consistency(random_instances):
 def literal_scan():
     """The headline scan: bare adversarial fixture, default grid, target 2."""
     domain = adversarial_domain(MU22, "mu-single-minded")
-    space = SearchSpace(
-        domain=domain, payment_grid=default_payment_grid(MU22, "mu-single-minded")
-    )
+    space = SearchSpace(domain=domain, payment_grid=default_payment_grid(MU22))
     return falsify_impossibility(space, Fraction(2), budget_seconds=1800)
 
 
@@ -197,9 +195,7 @@ def test_criterion_6_impossibility_at_target_two(literal_scan):
 def test_criterion_6_epsilon_counterexample_reverifies():
     t0 = time.monotonic()
     domain = adversarial_domain(MU22, "mu-single-minded")
-    space = SearchSpace(
-        domain=domain, payment_grid=default_payment_grid(MU22, "mu-single-minded")
-    )
+    space = SearchSpace(domain=domain, payment_grid=default_payment_grid(MU22))
     verdict = falsify_impossibility(
         space, Fraction(2) + Fraction(1, 1000), budget_seconds=1800, audit_survivors=False
     )
@@ -221,8 +217,8 @@ def test_criterion_6_pruning_agreement():
     domain = adversarial_domain(MU22, "mu-single-minded")
     reduced = Domain(setting=MU22, players=(domain.players[0], (domain.players[1][0],)))
     space = SearchSpace(domain=reduced, payment_grid=(Fraction(0), Fraction(1)))
-    on = falsify_impossibility(space, Fraction(2), prune=True)
-    off = falsify_impossibility(space, Fraction(2), prune=False)
+    on = falsify_impossibility(space, Fraction(2))
+    off = oracle_scan(space, Fraction(2), stop_at_first=True)
     ok = on.outcome == off.outcome
     if on.counterexample is not None:
         from ospcheck.serialize import serialize_mechanism
@@ -346,9 +342,7 @@ def test_supplementary_scan_mode_consistency(literal_scan):
     same first counterexample."""
     t0 = time.monotonic()
     domain = adversarial_domain(MU22, "mu-single-minded")
-    space = SearchSpace(
-        domain=domain, payment_grid=default_payment_grid(MU22, "mu-single-minded")
-    )
+    space = SearchSpace(domain=domain, payment_grid=default_payment_grid(MU22))
     fast = falsify_impossibility(space, Fraction(2), audit_survivors=False)
     ok = (
         fast.outcome == literal_scan.outcome

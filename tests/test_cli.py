@@ -144,6 +144,24 @@ def test_search_command_with_config(tmp_path, capsys):
     assert "no-counterexample" in out
 
 
+def test_search_default_grid_follows_setting(tmp_path, capsys):
+    from ospcheck import AuctionSetting, adversarial_domain
+    from ospcheck.serialize import serialize_domain
+
+    ca = AuctionSetting(kind="combinatorial", n=2, m=2)
+    domain_path = tmp_path / "additive.json"
+    domain_path.write_text(serialize_domain(adversarial_domain(ca, "additive")))
+    code, out, _ = run_cli(
+        capsys, "search", "--domain", str(domain_path), "--target-ratio", "2",
+        "--budget", "0", "--format", "machine",
+    )
+    assert code == 1
+    item = json.loads(out)["items"][0]
+    assert item["outcome"] == "budget-exhausted"
+    # no --grid: the combinatorial levels 2k^2, 2k^2+2 and 2k^3+k^2 join k^4 = 16
+    assert "5/1, 8/1, 10/1, 16/1, 20/1}" in item["class"]
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--mechanism", "/no/such/file.json")
     assert code == 2
@@ -166,7 +184,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     search = ["search", "--domain", str(domain_path), "--target-ratio", "2"]
     code, _, err = run_cli(capsys, *search, "--grid", "0,1", "--max-depth", "-1")
     assert code == 2 and "depth" in err
-    for entry in ({"max_depth": "3"}, {"budget_seconds": "5"}, {"grid": 5}):
+    code, _, err = run_cli(capsys, *search, "--grid", "0,1", "--no-prune")
+    assert code == 2 and "--no-prune" in err
+    # wrongly typed entries, and unknown ones: a stale switch or a misspelt key
+    entries = ({"max_depth": "3"}, {"budget_seconds": "5"}, {"grid": 5},
+               {"prune": False}, {"budget": 5})
+    for entry in entries:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(entry))
         code, _, err = run_cli(capsys, *search, "--config", str(config))

@@ -19,15 +19,15 @@ from ospcheck import (
     default_payment_grid,
     enumerate_normalized_mechanisms,
     falsify_impossibility,
-    mu_payment_bounds,
     welfare_ratio,
 )
 from ospcheck.search import _Aggregator, _Engine
 from ospcheck.serialize import serialize_mechanism
 
-from helpers import oracle_combine
+from helpers import oracle_combine, oracle_scan
 
 CA11 = AuctionSetting(kind="combinatorial", n=1, m=1)
+CA22 = AuctionSetting(kind="combinatorial", n=2, m=2)
 MU22 = AuctionSetting(kind="multi-unit", n=2, m=2)
 ZERO_GRID = (Fraction(0),)
 
@@ -96,8 +96,8 @@ def _sub_space(grid=(Fraction(0), Fraction(1))):
 
 def test_pruning_on_off_agree():
     space = _sub_space()
-    on = falsify_impossibility(space, Fraction(2), prune=True)
-    off = falsify_impossibility(space, Fraction(2), prune=False)
+    on = falsify_impossibility(space, Fraction(2))
+    off = oracle_scan(space, Fraction(2), stop_at_first=True)
     assert on.outcome == off.outcome == "counterexample"
     assert serialize_mechanism(on.counterexample) == serialize_mechanism(off.counterexample)
     fast = falsify_impossibility(space, Fraction(2), audit_survivors=False)
@@ -114,20 +114,12 @@ def test_aggregated_totals_match_checker_by_checker_scan():
         ),
     )
     space = SearchSpace(domain=dom, payment_grid=(Fraction(0), Fraction(1)))
-    survivors = 0
-    raw = 0
-    for bundle in enumerate_normalized_mechanisms(space):
-        raw += 1
-        if (
-            check_osp(*bundle.checker_args()).passed
-            and check_ir(*bundle.checker_args()).passed
-            and check_nnt(*bundle.checker_args()).passed
-        ):
-            survivors += 1
+    oracle = oracle_scan(space, Fraction(2))
+    raw, survivors = oracle.members, oracle.survivors
     assert raw == 600  # |alloc|*|grid|^2 + (|alloc|*|grid|^2)^2 = 24 + 576
     # the aggregated scan tallies every class even after a counterexample,
     # so its examined/survivor totals must equal the checker-by-checker count
-    on = falsify_impossibility(space, Fraction(2), prune=True)
+    on = falsify_impossibility(space, Fraction(2))
     assert on.examined == survivors
     assert on.audit["survivors_checked"] == survivors
     assert on.audit["low_profile_bound_failures"] == 0
@@ -139,19 +131,10 @@ def test_aggregated_totals_match_checker_by_checker_scan_both_speaking():
     dom = adversarial_domain(MU22, "mu-single-minded")
     sub = Domain(setting=MU22, players=tuple(vs[:2] for vs in dom.players))
     space = SearchSpace(domain=sub, payment_grid=ZERO_GRID)
-    survivors = 0
-    raw = 0
-    for bundle in enumerate_normalized_mechanisms(space):
-        raw += 1
-        if (
-            check_osp(*bundle.checker_args()).passed
-            and check_ir(*bundle.checker_args()).passed
-            and check_nnt(*bundle.checker_args()).passed
-        ):
-            survivors += 1
+    off = oracle_scan(space, Fraction(2))
+    raw, survivors = off.members, off.survivors
     assert (raw, survivors) == (3534, 262)
-    on = falsify_impossibility(space, Fraction(2), prune=True)
-    off = falsify_impossibility(space, Fraction(2), prune=False)
+    on = falsify_impossibility(space, Fraction(2))
     assert on.examined == on.survivors == survivors
     assert on.outcome == off.outcome == "counterexample"
     assert serialize_mechanism(on.counterexample) == serialize_mechanism(off.counterexample)
@@ -161,21 +144,12 @@ def test_aggregated_audit_matches_checkers():
     # every stream member judged by the checkers alone: welfare_ratio for the
     # premise (ratio below min(m, n) = 2), mu_payment_bounds for both bounds
     space = _sub_space(grid=(Fraction(0), Fraction(5)))
-    members = survivors = premise = low_failures = square_failures = 0
-    for bundle in enumerate_normalized_mechanisms(space):
-        members += 1
-        args = bundle.checker_args()
-        if not (check_osp(*args).passed and check_ir(*args).passed and check_nnt(*args).passed):
-            continue
-        survivors += 1
-        ratio = welfare_ratio(*args)
-        bounds = mu_payment_bounds(*args)
-        low_failures += not bounds.winners_pay_at_most_one
-        if not ratio.unbounded and ratio.ratio < 2:
-            premise += 1
-            square_failures += bounds.all_units_within_square is False
+    oracle = oracle_scan(space, Fraction(2))
+    members, survivors, audit = oracle.members, oracle.survivors, oracle.audit
+    premise, square_failures = audit["square_bound_premise_met"], audit["square_bound_failures"]
+    low_failures = audit["low_profile_bound_failures"]
     assert (members, survivors, premise, square_failures, low_failures) == (57048, 458, 23, 9, 0)
-    on = falsify_impossibility(space, Fraction(2), prune=True)
+    on = falsify_impossibility(space, Fraction(2))
     assert on.survivors == survivors
     assert on.audit == {
         "applicable": True,
@@ -247,13 +221,17 @@ def test_budget_exhaustion():
     # a scan too small to reach the periodic check in the join still stops
     small = falsify_impossibility(_sub_space(), Fraction(2), budget_seconds=0.0)
     assert small.outcome == "budget-exhausted"
-    stream = falsify_impossibility(_sub_space(), Fraction(2), budget_seconds=0.0, prune=False)
-    assert stream.outcome == "budget-exhausted"
     # the join and the leaf tables check the deadline as they go
     start = time.monotonic()
     short = falsify_impossibility(space, Fraction(2), budget_seconds=0.3)
     assert short.outcome == "budget-exhausted"
     assert short.elapsed < 2 and time.monotonic() - start < 2
+
+
+def test_default_payment_grid_follows_setting_kind():
+    ints = [Fraction(t) for t in range(6)]
+    assert default_payment_grid(MU22) == tuple(ints + [Fraction(16)])
+    assert default_payment_grid(CA22) == tuple(ints + [Fraction(t) for t in (8, 10, 16, 20)])
 
 
 def test_verdict_carries_class_description_and_caveat():
