@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .model import (
@@ -177,37 +178,24 @@ def _consistent_reach(tree: MechanismTree, player: int, behavior: Behavior):
     return visited
 
 
-def _follow_stats(tree: MechanismTree, player: int, valuation, behavior: Behavior):
-    """Per-node (min, argmin-leaf) of the player's utility over leaves she can
-    still reach from that node while following ``behavior`` at her own nodes."""
+def _osp_stats(tree: MechanismTree, player: int, behavior: Behavior, u: _Utilities):
+    """Per-node (min, argmin-leaf) of the player's utility over leaves she can still
+    reach from that node while following ``behavior`` at her own nodes, and per-node
+    (max, argmax-leaf) over all leaves below; ties keep the first leaf in preorder."""
     fmin: dict = {}
-    for nid in reversed(tree.preorder):
-        node = tree.nodes[nid]
-        if isinstance(node, Leaf):
-            fmin[nid] = (utility(valuation, node.allocation[player], node.payments[player]), nid)
-        elif node.speaker == player:
-            fmin[nid] = fmin[node.edges[behavior.choices[nid]]]
-        else:
-            fmin[nid] = min((fmin[c] for c in node.edges.values()), key=lambda t: t[0])
-    return fmin
-
-
-def _anymax_stats(tree: MechanismTree, player: int, valuation):
-    """Per-node (max, argmax-leaf) of the player's utility over all leaves below."""
     amax: dict = {}
     for nid in reversed(tree.preorder):
         node = tree.nodes[nid]
         if isinstance(node, Leaf):
-            amax[nid] = (utility(valuation, node.allocation[player], node.payments[player]), nid)
+            fmin[nid] = amax[nid] = (u[nid], nid)
+            continue
+        children = node.edges.values()
+        amax[nid] = max((amax[c] for c in children), key=itemgetter(0))
+        if node.speaker == player:
+            fmin[nid] = fmin[node.edges[behavior.choices[nid]]]
         else:
-            amax[nid] = max((amax[c] for c in node.edges.values()), key=lambda t: t[0])
-    return amax
-
-
-def _path_edge(tree: MechanismTree, path: list, nid: str) -> str:
-    node = tree.nodes[nid]
-    nxt = path[path.index(nid) + 1]
-    return next(lbl for lbl, child in node.edges.items() if child == nxt)
+            fmin[nid] = min((fmin[c] for c in children), key=itemgetter(0))
+    return fmin, amax
 
 
 def _first_label(node: InternalNode) -> str:
@@ -224,9 +212,8 @@ def _profile_through(tree: MechanismTree, paths, fixed=None) -> tuple:
     n = tree.setting.n
     choices: list = [dict() for _ in range(n)]
     for path in paths:
-        for nid in path[:-1]:
-            node = tree.nodes[nid]
-            choices[node.speaker][nid] = _path_edge(tree, path, nid)
+        for nid, nxt in zip(path, path[1:]):
+            choices[tree.nodes[nid].speaker][nid] = tree.label_into(nxt)
     profile = []
     for i in range(n):
         if fixed is not None and fixed.owner == i:
@@ -251,8 +238,7 @@ def check_osp(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
         for v in _players(domain)[i]:
             behavior = strategies[i][v]
             reach = set(_consistent_reach(tree, i, behavior))
-            fmin = _follow_stats(tree, i, v, behavior)
-            amax = _anymax_stats(tree, i, v)
+            fmin, amax = _osp_stats(tree, i, behavior, _Utilities(tree, i, v))
             for nid in tree.nodes_of(i):
                 node = tree.nodes[nid]
                 if nid not in reach or len(node.edges) < 2:
@@ -443,15 +429,12 @@ def first_divergence(tree: MechanismTree, strategies: Sequence, subsets) -> Opti
     Vertices are scanned breadth-first with ties broken by preorder
     position.  Returns None when every profile reaches the same leaf.
     """
-    routes = []
+    routes = []  # (profile, label taken out of each internal node on its path)
     for profile, _, _, path in _realized(tree, strategies, subsets):
-        routes.append((profile, path, set(path)))
+        routes.append((profile, {w: tree.label_into(x) for w, x in zip(path, path[1:])}))
     for nid in tree.bfs_internal():
         node = tree.nodes[nid]
-        taken = []
-        for profile, path, members in routes:
-            if nid in members:
-                taken.append((profile, _path_edge(tree, path, nid)))
+        taken = [(profile, out[nid]) for profile, out in routes if nid in out]
         if not taken:
             continue
         first_label = taken[0][1]

@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 COMBINATORIAL = "combinatorial"
 MULTI_UNIT = "multi-unit"
@@ -125,6 +124,14 @@ class MechanismTree:
 
     Construct via :func:`build_tree`; instances are never mutated after
     validation, so they are safe to share across threads.
+
+    Validation is one depth-first preorder walk, children in edge-label
+    order.  Besides checking the tree, it records the tree index that every
+    structural query reads: ``preorder``, ``leaf_ids`` and ``internal_ids``
+    (both in preorder), ``depth`` (of the deepest leaf), and per node its
+    parent, the label of the edge into it, its depth, and the span of
+    ``leaf_ids`` below it.  A subtree's leaves are contiguous in preorder,
+    so that span is one slice.
     """
 
     def __init__(self, setting: AuctionSetting, nodes: dict, root: str):
@@ -136,111 +143,77 @@ class MechanismTree:
     def _validate(self) -> None:
         if self.root not in self.nodes:
             raise MechanismError("root id missing from node arena")
-        seen: set = set()
-        stack = [self.root]
-        parents: dict = {}
-        while stack:
-            nid = stack.pop()
-            if nid in seen:
-                raise MechanismError(f"node {nid!r} reached twice (cycle or shared child)")
-            seen.add(nid)
-            node = self.nodes.get(nid)
-            if node is None:
-                raise MechanismError(f"edge points to unknown node {nid!r}")
-            if isinstance(node, InternalNode):
-                if not (0 <= node.speaker < self.setting.n):
-                    raise MechanismError(f"speaker {node.speaker} out of range at node {nid!r}")
-                if not node.edges:
-                    raise MechanismError(f"internal node {nid!r} has no outgoing edge")
-                for child in node.edges.values():
-                    if child in parents:
-                        raise MechanismError(f"node {child!r} has two parents")
-                    parents[child] = nid
-                    stack.append(child)
-            else:
-                validate_allocation(self.setting, node.allocation)
-                if len(node.payments) != self.setting.n:
-                    raise MechanismError(f"leaf {nid!r} needs one payment per player")
-        orphans = set(self.nodes) - seen
-        if orphans:
-            raise MechanismError(f"orphan nodes not reachable from root: {sorted(orphans)}")
-        self._parents = parents
-
-    def parent(self, nid: str):
-        return self._parents.get(nid)
-
-    @cached_property
-    def depth(self) -> int:
-        best = 0
+        n = self.setting.n
+        preorder, leaves, internal = [], [], []
+        owned: list = [[] for _ in range(n)]
+        parent, label, depth, span = {}, {}, {}, {}
         stack = [(self.root, 0)]
         while stack:
             nid, d = stack.pop()
-            node = self.nodes[nid]
+            if d is None:  # every leaf below ``nid`` is listed now
+                span[nid] = (span[nid], len(leaves))
+                continue
+            if nid in depth:
+                raise MechanismError(f"node {nid!r} reached twice (cycle or shared child)")
+            node = self.nodes.get(nid)
+            if node is None:
+                raise MechanismError(f"edge points to unknown node {nid!r}")
+            depth[nid] = d
+            preorder.append(nid)
             if isinstance(node, InternalNode):
-                stack.extend((c, d + 1) for c in node.edges.values())
+                if not (0 <= node.speaker < n):
+                    raise MechanismError(f"speaker {node.speaker} out of range at node {nid!r}")
+                if not node.edges:
+                    raise MechanismError(f"internal node {nid!r} has no outgoing edge")
+                internal.append(nid)
+                owned[node.speaker].append(nid)
+                span[nid] = len(leaves)
+                stack.append((nid, None))
+                for lbl, child in reversed(list(node.edges.items())):
+                    if child in parent:
+                        raise MechanismError(f"node {child!r} has two parents")
+                    parent[child], label[child] = nid, lbl
+                    stack.append((child, d + 1))
             else:
-                best = max(best, d)
-        return best
-
-    @cached_property
-    def preorder(self) -> tuple:
-        """Node ids in depth-first preorder, children in edge-label order."""
-        out = []
-        stack = [self.root]
-        while stack:
-            nid = stack.pop()
-            out.append(nid)
-            node = self.nodes[nid]
-            if isinstance(node, InternalNode):
-                stack.extend(reversed(list(node.edges.values())))
-        return tuple(out)
-
-    @cached_property
-    def leaf_ids(self) -> tuple:
-        return tuple(nid for nid in self.preorder if isinstance(self.nodes[nid], Leaf))
-
-    @cached_property
-    def internal_ids(self) -> tuple:
-        return tuple(nid for nid in self.preorder if isinstance(self.nodes[nid], InternalNode))
+                validate_allocation(self.setting, node.allocation)
+                if len(node.payments) != n:
+                    raise MechanismError(f"leaf {nid!r} needs one payment per player")
+                span[nid] = (len(leaves), len(leaves) + 1)
+                leaves.append(nid)
+        orphans = set(self.nodes) - depth.keys()
+        if orphans:
+            raise MechanismError(f"orphan nodes not reachable from root: {sorted(orphans)}")
+        self.preorder = tuple(preorder)
+        self.leaf_ids = tuple(leaves)
+        self.internal_ids = tuple(internal)
+        self.depth = max(depth.values())
+        self._owned = tuple(tuple(ns) for ns in owned)
+        self._parent, self._label, self._depth, self._span = parent, label, depth, span
 
     def nodes_of(self, player: int) -> tuple:
-        """All node ids where ``player`` speaks."""
-        return self._speaker_index[player]
-
-    @cached_property
-    def _speaker_index(self) -> tuple:
-        idx: list = [[] for _ in range(self.setting.n)]
-        for nid in self.preorder:
-            node = self.nodes[nid]
-            if isinstance(node, InternalNode):
-                idx[node.speaker].append(nid)
-        return tuple(tuple(ns) for ns in idx)
+        """All node ids where ``player`` speaks, in preorder."""
+        return self._owned[player]
 
     def path_to(self, nid: str) -> list:
         """Node ids from the root down to ``nid`` inclusive."""
         path = [nid]
         while path[-1] != self.root:
-            path.append(self._parents[path[-1]])
+            path.append(self._parent[path[-1]])
         path.reverse()
         return path
 
-    def depth_of(self, nid: str) -> int:
-        return len(self.path_to(nid)) - 1
+    def label_into(self, nid: str) -> str:
+        """Label of the edge from the parent of ``nid`` (not the root) to ``nid``."""
+        return self._label[nid]
 
-    def subtree_leaves(self, nid: str) -> Iterator[str]:
-        stack = [nid]
-        while stack:
-            cur = stack.pop()
-            node = self.nodes[cur]
-            if isinstance(node, Leaf):
-                yield cur
-            else:
-                stack.extend(reversed(list(node.edges.values())))
+    def subtree_leaves(self, nid: str) -> tuple:
+        """Leaf ids below ``nid`` (``nid`` itself if a leaf), in preorder."""
+        lo, hi = self._span[nid]
+        return self.leaf_ids[lo:hi]
 
     def bfs_internal(self) -> list:
         """Internal node ids by depth, ties broken by preorder position."""
-        order = {nid: k for k, nid in enumerate(self.preorder)}
-        return sorted(self.internal_ids, key=lambda nid: (self.depth_of(nid), order[nid]))
+        return sorted(self.internal_ids, key=self._depth.__getitem__)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MechanismTree):
@@ -255,12 +228,20 @@ class MechanismTree:
         raise TypeError("MechanismTree is not hashable")
 
 
+def read_field(raw: dict, name: str, read, where: str):
+    """``read(raw[name])``; a missing or unreadable field raises MechanismError naming it."""
+    if not isinstance(raw, dict) or name not in raw:
+        raise MechanismError(f"{where} has no {name!r} field")
+    try:
+        return read(raw[name])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MechanismError(f"{where}: unreadable {name!r} field: {exc}") from None
+
+
 def _parse_payment(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise MechanismError(f"cannot read payment {value!r}")
 
@@ -281,29 +262,35 @@ _AUTO_PREFIX = "#"
 
 
 def build_tree(spec, setting: AuctionSetting) -> MechanismTree:
-    """Validate a structural description and produce a MechanismTree.
+    """Validate a nested node description and produce a MechanismTree.
 
-    ``spec`` is either a nested node dict (internal: ``{"speaker", "edges"}``,
-    leaf: ``{"allocation", "payments"}``, both with optional ``"id"``) or an
-    arena form ``{"nodes": {id: flat-node}, "root": id}`` whose edges refer
-    to ids.  Edge maps are canonicalized to lexicographic label order and
-    unnamed nodes get stable preorder ids ``#0, #1, ...``, so rebuilding a
-    serialized tree reproduces the same ids.
+    ``spec`` is a nested node dict: internal ``{"speaker", "edges"}`` with
+    ``edges`` mapping each label to a child description, leaf
+    ``{"allocation", "payments"}``, both with an optional ``"id"``.  A
+    missing or unreadable field raises MechanismError naming it.  Edge maps
+    are canonicalized to lexicographic label order and unnamed nodes get
+    stable preorder ids ``#0, #1, ...``, so rebuilding a serialized tree
+    reproduces the same ids.
     """
     nodes: dict = {}
-    counter = [0]
 
-    def add_node(raw, resolve_child) -> str:
+    def read_allocation(raw) -> Allocation:
+        return tuple(_coerce_bundle(setting, b) for b in raw)
+
+    def read_payments(raw) -> tuple:
+        return tuple(_parse_payment(p) for p in raw)
+
+    def add_node(raw) -> str:
         if not isinstance(raw, dict):
             raise MechanismError(f"node description must be a mapping, got {type(raw).__name__}")
         given = raw.get("id")
-        nid = _AUTO_PREFIX + str(counter[0]) if given is None else str(given)
-        counter[0] += 1
+        nid = _AUTO_PREFIX + str(len(nodes)) if given is None else str(given)
         if given is not None and nid.startswith(_AUTO_PREFIX):
             raise MechanismError(f"node ids may not start with {_AUTO_PREFIX!r}: {nid!r}")
         if nid in nodes:
             raise MechanismError(f"duplicate node id {nid!r}")
         nodes[nid] = None  # reserve before children so ids follow preorder
+        where = f"node {nid!r}"
         if "edges" in raw or "speaker" in raw:
             edges_raw = raw.get("edges")
             if not isinstance(edges_raw, dict) or not edges_raw:
@@ -313,48 +300,17 @@ def build_tree(spec, setting: AuctionSetting) -> MechanismTree:
                 if str(lbl) in by_label:
                     raise MechanismError(f"duplicate message label at node {nid!r}")
                 by_label[str(lbl)] = child
-            edges = {}
-            for lbl in sorted(by_label):
-                edges[lbl] = resolve_child(by_label[lbl])
-            nodes[nid] = InternalNode(speaker=int(raw["speaker"]), edges=edges)
+            speaker = read_field(raw, "speaker", int, where)
+            edges = {lbl: add_node(by_label[lbl]) for lbl in sorted(by_label)}
+            nodes[nid] = InternalNode(speaker=speaker, edges=edges)
         else:
-            alloc = tuple(_coerce_bundle(setting, b) for b in raw["allocation"])
-            pays = tuple(_parse_payment(p) for p in raw["payments"])
-            nodes[nid] = Leaf(allocation=alloc, payments=pays)
+            nodes[nid] = Leaf(
+                allocation=read_field(raw, "allocation", read_allocation, where),
+                payments=read_field(raw, "payments", read_payments, where),
+            )
         return nid
 
-    if isinstance(spec, dict) and "nodes" in spec and "root" in spec:
-        raw_nodes = spec["nodes"]
-        in_progress: set = set()
-        done: dict = {}
-
-        def walk_arena(key) -> str:
-            if key in in_progress:
-                raise MechanismError(f"cycle through node {key!r}")
-            if key in done:
-                raise MechanismError(f"node {key!r} has two parents")
-            if key not in raw_nodes:
-                raise MechanismError(f"edge points to unknown node {key!r}")
-            in_progress.add(key)
-            raw = dict(raw_nodes[key])
-            raw.setdefault("id", key)
-            nid = add_node(raw, walk_arena)
-            in_progress.discard(key)
-            done[key] = nid
-            return nid
-
-        root = walk_arena(spec["root"])
-        orphans = set(raw_nodes) - set(done)
-        if orphans:
-            raise MechanismError(f"orphan nodes not reachable from root: {sorted(orphans)}")
-    else:
-
-        def walk_nested(raw) -> str:
-            return add_node(raw, walk_nested)
-
-        root = walk_nested(spec)
-
-    return MechanismTree(setting=setting, nodes=nodes, root=root)
+    return MechanismTree(setting=setting, nodes=nodes, root=add_node(spec))
 
 
 def run(tree: MechanismTree, profile: Sequence[Behavior]):
@@ -394,14 +350,11 @@ def attainable(tree: MechanismTree, player: int, behavior: Behavior, nid: str) -
     if not isinstance(node, InternalNode) or node.speaker != player:
         raise MechanismError(f"node {nid!r} is not owned by player {player}")
     path = tree.path_to(nid)
-    for cur, nxt in zip(path, path[1:]):
-        cur_node = tree.nodes[cur]
-        if cur_node.speaker != player:
-            continue
-        taken = next(lbl for lbl, child in cur_node.edges.items() if child == nxt)
-        if behavior.choices.get(cur) != taken:
-            return False
-    return True
+    return all(
+        behavior.choices.get(cur) == tree.label_into(nxt)
+        for cur, nxt in zip(path, path[1:])
+        if tree.nodes[cur].speaker == player
+    )
 
 
 def validate_strategy(tree: MechanismTree, player: int, strategy: Mapping) -> None:

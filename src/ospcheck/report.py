@@ -18,12 +18,8 @@ def _jsonable(obj):
         return obj
     if isinstance(obj, Fraction):
         return frac_str(obj)
-    if isinstance(obj, float):
-        return obj
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if hasattr(obj, "tag") and hasattr(obj, "evaluate"):
@@ -38,11 +34,7 @@ def _jsonable(obj):
             if value is not None and value != "":
                 out[name] = _jsonable(value)
         return out
-    if hasattr(obj, "owner") and hasattr(obj, "choices"):
-        return {"owner": obj.owner, "choices": _jsonable(dict(obj.choices))}
-    if hasattr(obj, "__dict__"):
-        return {k: _jsonable(v) for k, v in vars(obj).items()}
-    return str(obj)
+    raise TypeError(f"no report encoding for {type(obj).__name__}")
 
 
 def verdict_item(v: Verdict) -> dict:

@@ -17,6 +17,7 @@ from .model import (
     MechanismError,
     MechanismTree,
     build_tree,
+    read_field,
 )
 from .valuations import Domain, ValuationError, make_valuation
 from .mechanisms import MechanismBundle
@@ -67,18 +68,35 @@ def valuation_to_json(v) -> dict:
     return {"tag": tag, "quantity": v.quantity, "value": frac_str(v.value)}
 
 
+def _fracs(raw) -> list:
+    return [parse_frac(x) for x in raw]
+
+
 def valuation_from_json(raw) -> object:
     try:
-        tag = raw["tag"]
+        tag = read_field(raw, "tag", str, "valuation")
+        where = f"{tag} valuation"
         if tag in ("additive", "unit-demand", "general-ca", "general-mu"):
-            return make_valuation(tag, values=[parse_frac(x) for x in raw["values"]])
+            return make_valuation(tag, values=read_field(raw, "values", _fracs, where))
         if tag == "single-minded-ca":
-            return make_valuation(tag, bundle=raw["bundle"], value=parse_frac(raw["value"]))
+            return make_valuation(
+                tag,
+                bundle=read_field(raw, "bundle", frozenset, where),
+                value=read_field(raw, "value", parse_frac, where),
+            )
         if tag == "single-minded-mu":
-            return make_valuation(tag, quantity=raw["quantity"], value=parse_frac(raw["value"]))
-    except (KeyError, TypeError, ValuationError) as exc:
+            return make_valuation(
+                tag,
+                quantity=read_field(raw, "quantity", int, where),
+                value=read_field(raw, "value", parse_frac, where),
+            )
+    except (MechanismError, ValuationError) as exc:
         raise ParseError(f"bad valuation block: {exc}") from None
-    raise ParseError(f"unknown valuation tag {raw.get('tag')!r}")
+    raise ParseError(f"unknown valuation tag {tag!r}")
+
+
+def _choices(raw) -> dict:
+    return {str(nid): str(lbl) for nid, lbl in dict(raw).items()}
 
 
 def _node_to_json(tree: MechanismTree, nid: str) -> dict:
@@ -182,18 +200,23 @@ def parse_mechanism(data):
     raw_strategies = doc.get("strategies")
     if raw_strategies is None:
         return tree
-    if len(raw_strategies) != setting.n:
-        raise ParseError("strategies section needs one entry list per player")
+    if not isinstance(raw_strategies, list) or len(raw_strategies) != setting.n:
+        raise ParseError("the 'strategies' section needs one entry list per player")
     players = []
     tables = []
     for i, entries in enumerate(raw_strategies):
+        if not isinstance(entries, list):
+            raise ParseError(f"'strategies' of player {i} must be a list of entries")
         vals = []
         table = {}
-        for entry in entries:
-            v = valuation_from_json(entry["valuation"])
-            beh = Behavior(owner=i, choices={str(k): str(lbl) for k, lbl in entry["behavior"].items()})
+        for k, entry in enumerate(entries):
+            where = f"strategy entry {k} of player {i}"
+            try:
+                v = valuation_from_json(read_field(entry, "valuation", dict, where))
+                table[v] = Behavior(owner=i, choices=read_field(entry, "behavior", _choices, where))
+            except MechanismError as exc:
+                raise ParseError(str(exc)) from None
             vals.append(v)
-            table[v] = beh
         players.append(tuple(vals))
         tables.append(table)
     try:

@@ -7,6 +7,7 @@ two is a real check.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from dataclasses import dataclass
@@ -112,6 +113,44 @@ def random_instance(rng: random.Random, max_depth=3, max_domain=3) -> MechanismB
             table[v] = Behavior(owner=i, choices=choices)
         strategies.append(table)
     return MechanismBundle(tree=tree, strategies=tuple(strategies), domain=domain)
+
+
+@dataclass
+class WalkIndex:
+    """Tree facts from plain recursion and a queue, independent of MechanismTree's index."""
+
+    preorder: list
+    bfs_internal: list
+    depths: dict
+    paths: dict
+    labels: dict
+    leaves_below: dict
+
+
+def walk_index(tree) -> WalkIndex:
+    index = WalkIndex([], [], {}, {}, {}, {})
+
+    def visit(nid, path, label):
+        index.preorder.append(nid)
+        index.depths[nid] = len(path)
+        index.paths[nid] = path = path + [nid]
+        index.labels[nid] = label
+        node = tree.nodes[nid]
+        below = [nid] if isinstance(node, Leaf) else []
+        for lbl, child in getattr(node, "edges", {}).items():
+            below += visit(child, path, lbl)
+        index.leaves_below[nid] = below
+        return below
+
+    visit(tree.root, [], None)
+    queue = collections.deque([tree.root])
+    while queue:
+        nid = queue.popleft()
+        node = tree.nodes[nid]
+        if not isinstance(node, Leaf):
+            index.bfs_internal.append(nid)
+            queue.extend(node.edges.values())
+    return index
 
 
 def all_behaviors(tree, player):

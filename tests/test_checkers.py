@@ -298,6 +298,19 @@ def test_dsic_witnesses_pinned():
     assert digest.hexdigest() == "2d1f0cf38876fc932787c5ef3d39d0fd7e4b47fe85099cb8e2fec80d120880c9"
 
 
+def test_osp_witnesses_pinned():
+    """First OSP witnesses on seeded random instances, byte for byte."""
+    rng = random.Random(2424)
+    digest = hashlib.sha256()
+    failed = 0
+    for _ in range(600):
+        verdict = check_osp(*random_instance(rng).checker_args())
+        failed += not verdict.passed
+        digest.update(repr(verdict).encode() + b"\n")
+    assert failed == 351
+    assert digest.hexdigest() == "fb586aa629ac5a29d8916f3d2c1f528e0187c11889a29a2c1b8c60aeaa82f7cf"
+
+
 def test_first_divergence():
     spec = {"allocation": [[], []], "payments": [Fraction(0), Fraction(0)]}
     leaf_tree = build_tree(spec, CA21)

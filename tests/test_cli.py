@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, exit codes, report formats."""
 
+import functools
 import json
+import operator
 from pathlib import Path
 
 from ospcheck.cli import main
@@ -201,6 +203,35 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     config.write_text('{"budget_seconds": NaN}')
     code, _, err = run_cli(capsys, *search, "--grid", "0,1", "--config", str(config))
     assert code == 2 and "budget" in err
+
+    # a malformed field in a mechanism or domain file is named, not a traceback
+    leaf = ["root", "edges", "1", "edges", "1"]
+    fig1 = json.loads(Path(FIG1).read_text())
+    domain = json.loads(domain_path.read_text())
+    cases = (
+        ("allocation", fig1, leaf + ["allocation"], None),
+        ("speaker", fig1, ["root", "speaker"], "x"),
+        ("allocation", fig1, leaf + ["allocation", 1, 0], "x"),
+        ("payments", fig1, leaf + ["payments", 0], "1/0"),
+        ("behavior", fig1, ["strategies", 0, 0, "behavior"], None),
+        ("strategies", fig1, ["strategies"], 5),
+        ("strategies", fig1, ["strategies", 0], 5),
+        ("quantity", domain, ["players", 0, 0, "quantity"], "x"),
+    )
+    for field, doc, path, value in cases:
+        doc = json.loads(json.dumps(doc))
+        *outer, last = path
+        target = functools.reduce(operator.getitem, outer, doc)
+        if value is None:
+            del target[last]
+        else:
+            target[last] = value
+        bad.write_text(json.dumps(doc))
+        if "players" in doc:
+            code, _, err = run_cli(capsys, "search", "--domain", str(bad), "--target-ratio", "2")
+        else:
+            code, _, err = run_cli(capsys, "analyze", "--mechanism", str(bad))
+        assert code == 2 and err.startswith("ospcheck: error:") and repr(field) in err, err
 
 
 def test_help_exits_zero(capsys):

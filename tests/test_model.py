@@ -1,22 +1,29 @@
 """Core tree model: building, running, attainability, realization."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from ospcheck import (
     AuctionSetting,
     Behavior,
+    InternalNode,
+    Leaf,
     MechanismError,
+    MechanismTree,
     attainable,
     build_tree,
+    adversarial_domain,
+    grand_bundle_ascending,
     realize,
     run,
     second_price_single_item,
+    serial_posted_price,
 )
 from ospcheck.serialize import parse_mechanism, serialize_mechanism
 
-from helpers import random_instance, random_setting, random_tree_spec
+from helpers import random_instance, random_setting, random_tree_spec, walk_index
 
 
 CA11 = AuctionSetting(kind="combinatorial", n=1, m=1)
@@ -94,20 +101,18 @@ def test_speaker_out_of_range():
 
 
 def test_arena_cycle_and_orphan():
-    arena = {
-        "root": "a",
-        "nodes": {
-            "a": {"speaker": 0, "edges": {"x": "b"}},
-            "b": {"speaker": 0, "edges": {"x": "a"}},
-        },
+    cycle = {
+        "a": InternalNode(speaker=0, edges={"x": "b"}),
+        "b": InternalNode(speaker=0, edges={"x": "a"}),
     }
     with pytest.raises(MechanismError, match="cycle"):
-        build_tree(arena, CA11)
-    arena = {
-        "root": "a",
-        "nodes": {"a": leaf_spec(1), "b": leaf_spec(1)},
-    }
+        MechanismTree(CA11, cycle, "a")
+    leaf = Leaf(allocation=(frozenset(),), payments=(Fraction(0),))
     with pytest.raises(MechanismError, match="orphan"):
+        MechanismTree(CA11, {"a": leaf, "b": leaf}, "a")
+    # build_tree reads only the nested form: an arena spec is a leaf without fields
+    arena = {"root": "a", "nodes": {"a": leaf_spec(1)}}
+    with pytest.raises(MechanismError, match="'allocation'"):
         build_tree(arena, CA11)
 
 
@@ -207,3 +212,35 @@ def test_serialization_round_trip_structural_equality():
         again = parse_mechanism(text)
         assert again == tree
         assert serialize_mechanism(again) == text
+
+
+def test_tree_index_matches_walks():
+    """The index recorded by validation agrees with plain recursive walks."""
+    rng = random.Random(31)
+    trees = []
+    for depth in (0, 1, 3, 5):
+        for _ in range(40):
+            setting = random_setting(rng, max_n=3)
+            trees.append(build_tree(random_tree_spec(rng, setting, depth), setting))
+    ca22 = AuctionSetting(kind="combinatorial", n=2, m=2)
+    mu22 = AuctionSetting(kind="multi-unit", n=2, m=2)
+    trees += [
+        second_price_single_item(3).tree,
+        serial_posted_price(1, 3, ca22).tree,
+        grand_bundle_ascending(mu22, 16, domain=adversarial_domain(mu22, "mu-single-minded")).tree,
+    ]
+    for tree in trees:
+        walk = walk_index(tree)
+        assert tree.preorder == tuple(walk.preorder)
+        internal = tuple(nid for nid in walk.preorder if not isinstance(tree.nodes[nid], Leaf))
+        assert tree.internal_ids == internal
+        assert tree.leaf_ids == tuple(walk.leaves_below[tree.root])
+        assert tree.depth == max(walk.depths.values())
+        assert tree.bfs_internal() == walk.bfs_internal
+        for i in range(tree.setting.n):
+            assert tree.nodes_of(i) == tuple(x for x in internal if tree.nodes[x].speaker == i)
+        for nid in walk.preorder:
+            assert tuple(tree.subtree_leaves(nid)) == tuple(walk.leaves_below[nid])
+            assert tree.path_to(nid) == walk.paths[nid]
+            if nid != tree.root:
+                assert tree.label_into(nid) == walk.labels[nid]
