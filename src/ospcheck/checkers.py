@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 from .model import (
     AuctionSetting,
     Behavior,
-    InternalNode,
     Leaf,
     MechanismTree,
     bundle_contains,
@@ -144,16 +143,14 @@ class _Utilities(dict):
 
 
 def _off_path(tree: MechanismTree, path: list):
-    """Yield ``(vertex, leaves)`` per subtree branching off ``path`` at ``vertex``, in
-    preorder: subtrees left of the path shallowest first, then right of it deepest first."""
-    left, right = [], []
-    for w, nxt in zip(path, path[1:]):
-        children = list(tree.nodes[w].edges.values())
-        k = children.index(nxt)
-        left += [(w, c) for c in children[:k]]
-        right[:0] = [(w, c) for c in children[k + 1:]]
-    for w, c in left + right:
-        yield w, tree.subtree_leaves(c)
+    """Yield ``(vertex, leaves)`` for the leaves below each vertex of ``path`` but off
+    it, in preorder: left of the path shallowest vertex first, then right of it deepest
+    vertex first.  A subtree's leaves are contiguous, so each run is one slice."""
+    spans = [(w, tree.leaf_span(w), tree.leaf_span(c)) for w, c in zip(path, path[1:])]
+    for w, (lo_w, _), (lo_c, _) in spans:
+        yield w, tree.leaf_ids[lo_w:lo_c]
+    for w, (_, hi_w), (_, hi_c) in reversed(spans):
+        yield w, tree.leaf_ids[hi_c:hi_w]
 
 
 def _consistent_reach(tree: MechanismTree, player: int, behavior: Behavior):
@@ -198,10 +195,6 @@ def _osp_stats(tree: MechanismTree, player: int, behavior: Behavior, u: _Utiliti
     return fmin, amax
 
 
-def _first_label(node: InternalNode) -> str:
-    return next(iter(node.edges))
-
-
 def _profile_through(tree: MechanismTree, paths, fixed=None) -> tuple:
     """A full behavior profile routing along every path in ``paths``.
 
@@ -221,7 +214,7 @@ def _profile_through(tree: MechanismTree, paths, fixed=None) -> tuple:
             continue
         full = dict(choices[i])
         for nid in tree.nodes_of(i):
-            full.setdefault(nid, _first_label(tree.nodes[nid]))
+            full.setdefault(nid, next(iter(tree.nodes[nid].edges)))
         profile.append(Behavior(owner=i, choices=full))
     return tuple(profile)
 
@@ -281,6 +274,13 @@ def check_dsic(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     exactly when the paths to them split at a vertex the player owns; the
     scan below enumerates those pairs directly, computing each utility once
     per (valuation, leaf) in a call.
+
+    Opponents range over all contingent behaviors, so the two sides of a
+    split vertex are chosen independently and the verdict is that of
+    :func:`check_osp`: a pair (own leaf, vertex, better off-path leaf) is an
+    OSP violation at the vertex and conversely; only witnesses differ.  This
+    is not the DSIC over opponents' valuations under which VCG is dominant;
+    switching to that notion would change verdicts and is not done here.
     """
     for i in range(tree.setting.n):
         for v in _players(domain)[i]:

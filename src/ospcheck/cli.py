@@ -20,7 +20,7 @@ from .mechanisms import (
     second_price_single_item,
     serial_posted_price,
 )
-from .model import COMBINATORIAL, MULTI_UNIT, AuctionSetting, MechanismError
+from .model import COMBINATORIAL, MULTI_UNIT, AuctionSetting, MechanismError, read_rational
 from .report import ReportDocument, audit_item, ratio_item, search_item, verdict_item
 from .search import SearchSpace, default_payment_grid, falsify_impossibility
 from .serialize import (
@@ -102,10 +102,10 @@ def _cmd_analyze(args) -> int:
     return 0 if report.ok else 1
 
 
-def _parse_fraction(raw: str, what: str) -> Fraction:
+def _parse_fraction(raw, what: str) -> Fraction:
     try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
+        return read_rational(raw)
+    except MechanismError:
         raise UsageError(f"bad {what}: {raw!r} (expected an integer or P/Q)")
 
 
@@ -153,12 +153,12 @@ def _cmd_search(args) -> int:
     if levels is None:
         grid = default_payment_grid(domain.setting)
     else:
-        grid = tuple(_parse_fraction(str(g), "grid entry") for g in levels)
+        grid = tuple(_parse_fraction(g, "grid entry") for g in levels)
 
     target = args.target_ratio or config.get("target_ratio")
     if target is None:
         raise UsageError("search needs --target-ratio P/Q or a target_ratio config entry")
-    target = _parse_fraction(str(target), "target ratio")
+    target = _parse_fraction(target, "target ratio")
 
     depth = args.max_depth
     if depth is None:

@@ -30,6 +30,10 @@ class MechanismError(ValueError):
     """Raised for structurally invalid trees, behaviors or allocations."""
 
 
+def is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class AuctionSetting:
     """Auction environment: item model, player count and item count."""
@@ -62,7 +66,7 @@ def validate_bundle(setting: AuctionSetting, bundle: Bundle) -> None:
         if any(not (0 <= j < setting.m) for j in bundle):
             raise MechanismError("item index out of range")
     else:
-        if not isinstance(bundle, int) or isinstance(bundle, bool):
+        if not is_int(bundle):
             raise MechanismError("multi-unit bundle must be an integer quantity")
         if not (0 <= bundle <= setting.m):
             raise MechanismError("quantity out of range")
@@ -108,9 +112,6 @@ class InternalNode:
     edges: Mapping[str, str]
 
 
-Node = Union[Leaf, InternalNode]
-
-
 @dataclass(frozen=True)
 class Behavior:
     """A full choice of messages for one player, one per owned node."""
@@ -122,8 +123,8 @@ class Behavior:
 class MechanismTree:
     """Immutable arena of nodes with a distinguished root.
 
-    Construct via :func:`build_tree`; instances are never mutated after
-    validation, so they are safe to share across threads.
+    Built by :func:`build_tree` or from an arena whose edge maps are in label
+    order; never mutated after validation, so safe to share across threads.
 
     Validation is one depth-first preorder walk, children in edge-label
     order.  Besides checking the tree, it records the tree index that every
@@ -206,9 +207,13 @@ class MechanismTree:
         """Label of the edge from the parent of ``nid`` (not the root) to ``nid``."""
         return self._label[nid]
 
+    def leaf_span(self, nid: str) -> tuple:
+        """``(lo, hi)`` with ``leaf_ids[lo:hi]`` the leaves below ``nid``."""
+        return self._span[nid]
+
     def subtree_leaves(self, nid: str) -> tuple:
         """Leaf ids below ``nid`` (``nid`` itself if a leaf), in preorder."""
-        lo, hi = self._span[nid]
+        lo, hi = self.leaf_span(nid)
         return self.leaf_ids[lo:hi]
 
     def bfs_internal(self) -> list:
@@ -228,6 +233,40 @@ class MechanismTree:
         raise TypeError("MechanismTree is not hashable")
 
 
+def read_int(raw) -> int:
+    """``raw`` itself if it is an ``int`` and not a ``bool``; MechanismError otherwise."""
+    if is_int(raw):
+        return raw
+    raise MechanismError(f"expected an integer, got {raw!r}")
+
+
+def read_rational(raw) -> Fraction:
+    """An exact rational from a ``Fraction``, a non-bool ``int`` or a string that
+    ``Fraction()`` accepts (``"3"``, ``"7/2"``); MechanismError otherwise."""
+    if isinstance(raw, Fraction):
+        return raw
+    if isinstance(raw, str) or is_int(raw):
+        try:
+            return Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise MechanismError(f"bad rational {raw!r}")
+
+
+def read_list(read):
+    """Reader of a list (or tuple, set, frozenset): ``read`` on each entry, as a tuple."""
+    def read_each(raw) -> tuple:
+        if not isinstance(raw, (list, tuple, set, frozenset)):
+            raise MechanismError(f"expected a list, got {raw!r}")
+        return tuple(map(read, raw))
+    return read_each
+
+
+def read_items(raw) -> frozenset:
+    """A combinatorial bundle from a list of integer item indices."""
+    return frozenset(read_list(read_int)(raw))
+
+
 def read_field(raw: dict, name: str, read, where: str):
     """``read(raw[name])``; a missing or unreadable field raises MechanismError naming it."""
     if not isinstance(raw, dict) or name not in raw:
@@ -236,26 +275,6 @@ def read_field(raw: dict, name: str, read, where: str):
         return read(raw[name])
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise MechanismError(f"{where}: unreadable {name!r} field: {exc}") from None
-
-
-def _parse_payment(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise MechanismError(f"cannot read payment {value!r}")
-
-
-def _coerce_bundle(setting: AuctionSetting, raw) -> Bundle:
-    if setting.is_combinatorial:
-        if isinstance(raw, frozenset):
-            return raw
-        if isinstance(raw, (list, tuple, set)):
-            return frozenset(int(j) for j in raw)
-        raise MechanismError(f"cannot read combinatorial bundle {raw!r}")
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return raw
-    raise MechanismError(f"cannot read multi-unit bundle {raw!r}")
 
 
 _AUTO_PREFIX = "#"
@@ -274,11 +293,8 @@ def build_tree(spec, setting: AuctionSetting) -> MechanismTree:
     """
     nodes: dict = {}
 
-    def read_allocation(raw) -> Allocation:
-        return tuple(_coerce_bundle(setting, b) for b in raw)
-
-    def read_payments(raw) -> tuple:
-        return tuple(_parse_payment(p) for p in raw)
+    read_allocation = read_list(read_items if setting.is_combinatorial else read_int)
+    read_payments = read_list(read_rational)
 
     def add_node(raw) -> str:
         if not isinstance(raw, dict):
@@ -300,7 +316,7 @@ def build_tree(spec, setting: AuctionSetting) -> MechanismTree:
                 if str(lbl) in by_label:
                     raise MechanismError(f"duplicate message label at node {nid!r}")
                 by_label[str(lbl)] = child
-            speaker = read_field(raw, "speaker", int, where)
+            speaker = read_field(raw, "speaker", read_int, where)
             edges = {lbl: add_node(by_label[lbl]) for lbl in sorted(by_label)}
             nodes[nid] = InternalNode(speaker=speaker, edges=edges)
         else:

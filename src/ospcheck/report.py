@@ -10,7 +10,7 @@ from fractions import Fraction
 from . import __version__
 from .checkers import RatioReport, Verdict, Witness
 from .structure import AscendingAudit
-from .serialize import frac_str, valuation_to_json
+from .serialize import bundle_to_json_doc, frac_str, valuation_to_json
 
 
 def _jsonable(obj):
@@ -82,8 +82,6 @@ def search_item(verdict) -> dict:
         "audit": _jsonable(verdict.audit),
     }
     if verdict.counterexample is not None:
-        from .serialize import bundle_to_json_doc
-
         item["counterexample"] = bundle_to_json_doc(verdict.counterexample)
     return item
 

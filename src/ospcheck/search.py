@@ -9,6 +9,22 @@ the walk is exhaustive, duplicate-free up to message relabeling, and
 deterministic, so a "no counterexample" verdict is a statement about the
 whole class.
 
+Why this class is enough, for a finite domain.  Take any mechanism whose
+plans are obviously dominant on the domain.  Pruning the nodes that no
+profile reaches under the plans (Li, *Obviously strategy-proof mechanisms*,
+AER 2017) keeps every realized outcome and keeps the plans obviously
+dominant, since each comparison then ranges over fewer leaves.  A message
+left at a node stands for the speaker's still-consistent valuations whose
+plans send it, so the messages partition that set and plans are block
+membership (Mackenzie, *A revelation principle for obviously strategy-proof
+implementation*, GEB 2020); a node with one block constrains nothing and is
+contracted.  Outcomes, hence IR, NNT and the welfare ratio on the domain,
+are unchanged, and every kept node splits some consistent set, so a path
+has at most sum(|V_i| - 1) internal nodes and the default depth cap
+sum(|V_i|) cuts nothing.  Left open: payments off the grid, trees deeper
+than an explicit ``max_depth`` below that bound, and valuations outside the
+domain supplied.
+
 ``falsify_impossibility`` counts the class by equivalence class instead of
 building its members (``_Aggregator``).  Leaves whose payments would break
 individual rationality or charge a negative payment on a profile reaching
@@ -73,7 +89,7 @@ from typing import Iterator, Optional
 
 from .checkers import _mu_fixture_profiles, enumerate_allocations, opt_welfare
 from .mechanisms import MechanismBundle
-from .model import Behavior, build_tree
+from .model import Behavior, InternalNode, Leaf, MechanismTree
 from .valuations import Domain, evaluate
 
 GRID_CAVEAT = (
@@ -345,38 +361,35 @@ class _Engine:
     # -- materialization ---------------------------------------------------
 
     def materialize(self, descriptor: tuple) -> MechanismBundle:
-        setting = self.setting
+        """The member ``descriptor`` names: node ids ``u0, u1, ...`` in preorder; a plan
+        sends the index of the block holding its valuation, else ``"0"``."""
         choices: list = [
             [dict() for _ in range(self.sizes[i])] for i in range(self.n)
         ]
-        counter = [0]
+        nodes: dict = {}
 
-        def spec_of(desc, masks):
-            nid = f"u{counter[0]}"
-            counter[0] += 1
+        def add(desc, masks) -> str:
+            nid = f"u{len(nodes)}"
+            nodes[nid] = None  # reserve before children so ids follow preorder
             if desc[0] == "leaf":
                 _, ai, pays = desc
-                return {
-                    "id": nid,
-                    "allocation": list(self.allocations[ai]),
-                    "payments": [Fraction(p, self.scale) for p in pays],
-                }
+                payments = tuple(Fraction(p, self.scale) for p in pays)
+                nodes[nid] = Leaf(allocation=self.allocations[ai], payments=payments)
+                return nid
             _, j, blocks, subs = desc
-            edges = {}
-            for t, (block, sub) in enumerate(zip(blocks, subs)):
-                for vi in range(self.sizes[j]):
-                    if masks[j] >> vi & 1:
-                        choices[j][vi].setdefault(nid, "0")
-                        if block >> vi & 1:
-                            choices[j][vi][nid] = str(t)
-                child_masks = masks[:j] + (block,) + masks[j + 1:]
-                edges[str(t)] = spec_of(sub, child_masks)
-            # valuations no longer consistent here still need a total plan
             for vi in range(self.sizes[j]):
-                choices[j][vi].setdefault(nid, "0")
-            return {"id": nid, "speaker": j, "edges": edges}
+                choices[j][vi][nid] = next(
+                    (str(t) for t, block in enumerate(blocks) if block >> vi & 1), "0"
+                )
+            edges = {
+                str(t): add(sub, masks[:j] + (block,) + masks[j + 1:])
+                for t, (block, sub) in enumerate(zip(blocks, subs))
+            }
+            nodes[nid] = InternalNode(speaker=j, edges=dict(sorted(edges.items())))
+            return nid
 
-        tree = build_tree(spec_of(descriptor, self.root_masks()), setting)
+        root = add(descriptor, self.root_masks())
+        tree = MechanismTree(setting=self.setting, nodes=nodes, root=root)
         strategies = tuple(
             {
                 v: Behavior(owner=i, choices=choices[i][vi])

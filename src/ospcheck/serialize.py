@@ -8,6 +8,7 @@ the parsed objects and serialized bytes are stable.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 from .model import (
@@ -18,8 +19,12 @@ from .model import (
     MechanismTree,
     build_tree,
     read_field,
+    read_int,
+    read_items,
+    read_list,
+    read_rational,
 )
-from .valuations import Domain, ValuationError, make_valuation
+from .valuations import FAMILIES, Domain, ValuationError
 from .mechanisms import MechanismBundle
 
 MECHANISM_FORMAT = "ospcheck-mechanism"
@@ -35,64 +40,48 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(raw) -> Fraction:
-    try:
-        if isinstance(raw, str) or isinstance(raw, int):
-            return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {raw!r}: {exc}") from None
-    raise ParseError(f"bad rational {raw!r}")
-
-
 def setting_to_json(setting: AuctionSetting) -> dict:
     return {"kind": setting.kind, "n": setting.n, "m": setting.m}
 
 
 def setting_from_json(raw) -> AuctionSetting:
     try:
-        return AuctionSetting(kind=raw["kind"], n=int(raw["n"]), m=int(raw["m"]))
-    except (KeyError, TypeError, MechanismError) as exc:
+        return AuctionSetting(
+            kind=read_field(raw, "kind", str, "setting"),
+            n=read_field(raw, "n", read_int, "setting"),
+            m=read_field(raw, "m", read_int, "setting"),
+        )
+    except MechanismError as exc:
         raise ParseError(f"bad setting block: {exc}") from None
 
 
-def bundle_to_json(setting: AuctionSetting, bundle):
-    return sorted(bundle) if setting.is_combinatorial else bundle
+#: Per valuation field: its JSON encoder and its reader.  A family's JSON
+#: object is its tag followed by its dataclass fields, in declaration order.
+_VALUATION_FIELDS = {
+    "values": (lambda xs: [frac_str(x) for x in xs], read_list(read_rational)),
+    "bundle": (sorted, read_items),
+    "value": (frac_str, read_rational),
+    "quantity": (lambda q: q, read_int),
+}
 
 
 def valuation_to_json(v) -> dict:
-    tag = v.tag
-    if tag in ("additive", "unit-demand", "general-ca", "general-mu"):
-        return {"tag": tag, "values": [frac_str(x) for x in v.values]}
-    if tag == "single-minded-ca":
-        return {"tag": tag, "bundle": sorted(v.bundle), "value": frac_str(v.value)}
-    return {"tag": tag, "quantity": v.quantity, "value": frac_str(v.value)}
-
-
-def _fracs(raw) -> list:
-    return [parse_frac(x) for x in raw]
+    doc = {"tag": v.tag}
+    for f in fields(v):
+        doc[f.name] = _VALUATION_FIELDS[f.name][0](getattr(v, f.name))
+    return doc
 
 
 def valuation_from_json(raw) -> object:
-    try:
-        tag = read_field(raw, "tag", str, "valuation")
-        where = f"{tag} valuation"
-        if tag in ("additive", "unit-demand", "general-ca", "general-mu"):
-            return make_valuation(tag, values=read_field(raw, "values", _fracs, where))
-        if tag == "single-minded-ca":
-            return make_valuation(
-                tag,
-                bundle=read_field(raw, "bundle", frozenset, where),
-                value=read_field(raw, "value", parse_frac, where),
-            )
-        if tag == "single-minded-mu":
-            return make_valuation(
-                tag,
-                quantity=read_field(raw, "quantity", int, where),
-                value=read_field(raw, "value", parse_frac, where),
-            )
-    except (MechanismError, ValuationError) as exc:
-        raise ParseError(f"bad valuation block: {exc}") from None
-    raise ParseError(f"unknown valuation tag {tag!r}")
+    tag = read_field(raw, "tag", str, "valuation")
+    cls = FAMILIES.get(tag)
+    if cls is None:
+        raise ParseError(f"unknown valuation tag {tag!r}")
+    where = f"{tag} valuation"
+    return cls(**{
+        f.name: read_field(raw, f.name, _VALUATION_FIELDS[f.name][1], where)
+        for f in fields(cls)
+    })
 
 
 def _choices(raw) -> dict:
@@ -110,9 +99,8 @@ def _node_to_json(tree: MechanismTree, nid: str) -> dict:
             lbl: _node_to_json(tree, child) for lbl, child in sorted(node.edges.items())
         }
     else:
-        out["allocation"] = [
-            bundle_to_json(tree.setting, b) for b in node.allocation
-        ]
+        combinatorial = tree.setting.is_combinatorial
+        out["allocation"] = [sorted(b) if combinatorial else b for b in node.allocation]
         out["payments"] = [frac_str(p) for p in node.payments]
     return out
 
@@ -193,33 +181,25 @@ def parse_mechanism(data):
     setting = setting_from_json(doc.get("setting", {}))
     root = doc.get("root")
     _check_labels(root, "")
+    raw_strategies = doc.get("strategies")
     try:
         tree = build_tree(root, setting)
-    except MechanismError as exc:
-        raise ParseError(str(exc)) from None
-    raw_strategies = doc.get("strategies")
-    if raw_strategies is None:
-        return tree
-    if not isinstance(raw_strategies, list) or len(raw_strategies) != setting.n:
-        raise ParseError("the 'strategies' section needs one entry list per player")
-    players = []
-    tables = []
-    for i, entries in enumerate(raw_strategies):
-        if not isinstance(entries, list):
-            raise ParseError(f"'strategies' of player {i} must be a list of entries")
-        vals = []
-        table = {}
-        for k, entry in enumerate(entries):
-            where = f"strategy entry {k} of player {i}"
-            try:
+        if raw_strategies is None:
+            return tree
+        if not isinstance(raw_strategies, list) or len(raw_strategies) != setting.n:
+            raise ParseError("the 'strategies' section needs one entry list per player")
+        players, tables = [], []
+        for i, entries in enumerate(raw_strategies):
+            if not isinstance(entries, list):
+                raise ParseError(f"'strategies' of player {i} must be a list of entries")
+            vals, table = [], {}
+            for k, entry in enumerate(entries):
+                where = f"strategy entry {k} of player {i}"
                 v = valuation_from_json(read_field(entry, "valuation", dict, where))
                 table[v] = Behavior(owner=i, choices=read_field(entry, "behavior", _choices, where))
-            except MechanismError as exc:
-                raise ParseError(str(exc)) from None
-            vals.append(v)
-        players.append(tuple(vals))
-        tables.append(table)
-    try:
+                vals.append(v)
+            players.append(tuple(vals))
+            tables.append(table)
         domain = Domain(setting=setting, players=tuple(players))
         return MechanismBundle(tree=tree, strategies=tuple(tables), domain=domain)
     except (ValuationError, MechanismError) as exc:
@@ -245,9 +225,7 @@ def parse_domain(data) -> Domain:
         raise ParseError(f"not a domain file (format must be {DOMAIN_FORMAT!r})")
     setting = setting_from_json(doc.get("setting", {}))
     try:
-        players = tuple(
-            tuple(valuation_from_json(raw) for raw in vs) for vs in doc.get("players", [])
-        )
+        players = read_field(doc, "players", read_list(read_list(valuation_from_json)), "domain")
         return Domain(setting=setting, players=players)
-    except ValuationError as exc:
+    except (ValuationError, MechanismError) as exc:
         raise ParseError(str(exc)) from None

@@ -12,23 +12,22 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import COMBINATORIAL, MULTI_UNIT, AuctionSetting, Bundle
+from .model import (
+    COMBINATORIAL,
+    MULTI_UNIT,
+    AuctionSetting,
+    Bundle,
+    is_int,
+    read_rational,
+)
 
 
 class ValuationError(ValueError):
     """Raised for ill-formed valuation parameters or domains."""
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise ValuationError(f"cannot read rational {x!r}")
-
-
 def _nonneg(values) -> tuple:
-    out = tuple(_frac(v) for v in values)
+    out = tuple(map(read_rational, values))
     if any(v < 0 for v in out):
         raise ValuationError("values must be nonnegative")
     return out
@@ -80,7 +79,7 @@ class SingleMindedCA:
 
     def __post_init__(self):
         object.__setattr__(self, "bundle", frozenset(self.bundle))
-        object.__setattr__(self, "value", _frac(self.value))
+        object.__setattr__(self, "value", read_rational(self.value))
         if self.value < 0:
             raise ValuationError("values must be nonnegative")
         if not self.bundle:
@@ -102,7 +101,7 @@ class SingleMindedMU:
     kind = MULTI_UNIT
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _frac(self.value))
+        object.__setattr__(self, "value", read_rational(self.value))
         if self.value < 0:
             raise ValuationError("values must be nonnegative")
         if self.quantity < 1:
@@ -136,10 +135,6 @@ class GeneralCA:
                 if not mask & (1 << j) and vals[mask] > vals[mask | (1 << j)]:
                     raise ValuationError("table violates monotonicity")
 
-    @property
-    def m(self) -> int:
-        return len(self.values).bit_length() - 1
-
     def evaluate(self, b: Bundle) -> Fraction:
         _expect_set(b)
         return self.values[sum(1 << j for j in b)]
@@ -169,25 +164,23 @@ class GeneralMU:
         return self.values[b]
 
 
-Valuation = (
-    AdditiveValuation
-    | UnitDemandValuation
-    | SingleMindedCA
-    | SingleMindedMU
-    | GeneralCA
-    | GeneralMU
-)
-
-_TAGS = {
+FAMILIES = {
     cls.tag: cls
-    for cls in (
-        AdditiveValuation,
-        UnitDemandValuation,
-        SingleMindedCA,
-        SingleMindedMU,
-        GeneralCA,
-        GeneralMU,
-    )
+    for cls in (AdditiveValuation, UnitDemandValuation, SingleMindedCA, SingleMindedMU,
+                GeneralCA, GeneralMU)
+}
+
+#: Per family: the field that must fit a setting of m items, whether it
+#: does, and what it must be.
+_FITS = {
+    AdditiveValuation: ("values", lambda v, m: len(v.values) == m, "m entries"),
+    UnitDemandValuation: ("values", lambda v, m: len(v.values) == m, "m entries"),
+    GeneralCA: ("values", lambda v, m: len(v.values) == 1 << m, "2^m entries"),
+    GeneralMU: ("values", lambda v, m: len(v.values) == m + 1, "m + 1 entries"),
+    SingleMindedCA: ("bundle", lambda v, m: all(is_int(j) and 0 <= j < m for j in v.bundle),
+                     "integer item indices in 0..m-1"),
+    SingleMindedMU: ("quantity", lambda v, m: is_int(v.quantity) and 1 <= v.quantity <= m,
+                     "an integer in 1..m"),
 }
 
 
@@ -197,7 +190,7 @@ def _expect_set(b) -> None:
 
 
 def _expect_int(b) -> None:
-    if not isinstance(b, int) or isinstance(b, bool):
+    if not is_int(b):
         raise ValuationError("bundle kind mismatch: expected a multi-unit quantity")
 
 
@@ -208,19 +201,16 @@ def evaluate(valuation, bundle: Bundle) -> Fraction:
 
 def make_valuation(tag: str, **params):
     """Build and validate a valuation from its tag and parameters."""
-    cls = _TAGS.get(tag)
+    cls = FAMILIES.get(tag)
     if cls is None:
         raise ValuationError(f"unknown valuation tag {tag!r}")
-    if cls in (AdditiveValuation, UnitDemandValuation, GeneralCA, GeneralMU):
-        return cls(values=tuple(params["values"]))
-    if cls is SingleMindedCA:
-        return cls(bundle=frozenset(params["bundle"]), value=params["value"])
-    return cls(quantity=int(params["quantity"]), value=params["value"])
+    return cls(**params)
 
 
 @dataclass(frozen=True)
 class Domain:
-    """One finite, nonempty valuation list per player."""
+    """One finite, nonempty valuation list per player; every valuation has
+    the setting's kind and fits its m items (``_FITS``)."""
 
     setting: AuctionSetting
     players: tuple
@@ -231,13 +221,19 @@ class Domain:
         )
         if len(self.players) != self.setting.n:
             raise ValuationError("need one valuation list per player")
-        for vs in self.players:
+        m = self.setting.m
+        for i, vs in enumerate(self.players):
             if not vs:
                 raise ValuationError("every player needs a nonempty valuation list")
             for v in vs:
                 if v.kind != self.setting.kind:
                     raise ValuationError(
                         f"{v.tag} valuation incompatible with {self.setting.kind} setting"
+                    )
+                name, fits, need = _FITS[type(v)]
+                if not fits(v, m):
+                    raise ValuationError(
+                        f"{v.tag} valuation of player {i}: {name!r} field needs {need} (m = {m})"
                     )
 
     def profiles(self):
@@ -291,22 +287,15 @@ def adversarial_domain(setting: AuctionSetting, family: str, featured=(0, 1)) ->
         return Domain(setting=setting, players=tuple(players))
 
     if family == "ca-single-minded":
-        def one_of(i: int) -> SingleMindedCA:
-            return SingleMindedCA(bundle=frozenset({target_item(i)}), value=Fraction(1))
+        def own(i: int, x: Fraction) -> SingleMindedCA:
+            return SingleMindedCA(bundle=frozenset({target_item(i)}), value=x)
 
-        everything = frozenset(range(m))
-        players = []
-        for i in range(n):
-            if i in (a, b):
-                players.append(
-                    (
-                        one_of(i),
-                        SingleMindedCA(bundle=frozenset({target_item(i)}), value=k**2 + 1),
-                        SingleMindedCA(bundle=everything, value=k**4),
-                    )
-                )
-            else:
-                players.append((one_of(i),))
+        everything = SingleMindedCA(bundle=frozenset(range(m)), value=k**4)
+        players = [
+            (own(i, Fraction(1)), own(i, k**2 + 1), everything) if i in (a, b)
+            else (own(i, Fraction(1)),)
+            for i in range(n)
+        ]
         return Domain(setting=setting, players=tuple(players))
 
     # additive and unit-demand share one parameterization
@@ -341,7 +330,7 @@ def adversarial_domain(setting: AuctionSetting, family: str, featured=(0, 1)) ->
 
 def restricted_additive_domain(x_l, x_h, setting: AuctionSetting) -> Domain:
     """All additive valuations with per-item values in {0, x_l, x_h}."""
-    x_l, x_h = _frac(x_l), _frac(x_h)
+    x_l, x_h = read_rational(x_l), read_rational(x_h)
     if not 0 < x_l < x_h:
         raise ValuationError("need 0 < x_l < x_h")
     if not setting.is_combinatorial:

@@ -15,6 +15,7 @@ from ospcheck import (
     MechanismBundle,
     SingleMindedMU,
     adversarial_domain,
+    ascending_single_item,
     build_tree,
     check_dsic,
     check_ir,
@@ -177,6 +178,33 @@ def test_osp_implies_dsic_on_randoms():
         bundle = random_instance(rng)
         if check_osp(*bundle.checker_args()).passed:
             assert check_dsic(*bundle.checker_args()).passed
+
+
+def test_dsic_verdict_equals_osp():
+    """Opponents range over every contingent behavior, so the two sides of a
+    split vertex are chosen independently: a DSIC pair (own leaf, vertex,
+    better off-path leaf) is an OSP violation at that vertex and conversely."""
+    rng = random.Random(31)
+    bundles = [random_instance(rng) for _ in range(300)]
+    ca = AuctionSetting(kind="combinatorial", n=2, m=2)
+    dom = adversarial_domain(MU22, "mu-single-minded")
+    bundles += [
+        first_price_bundle(),
+        first_price_bundle(3),
+        charging_loser_bundle(),
+        second_price_single_item(2),
+        second_price_single_item(2, tiebreak_winner=1),
+        second_price_single_item(3),
+        ascending_single_item(6, n=3),
+        grand_bundle_ascending(MU22, 4, domain=dom),
+        serial_posted_price(1, 3, ca),
+    ]
+    verdicts = [
+        (check_osp(*b.checker_args()).passed, check_dsic(*b.checker_args()).passed)
+        for b in bundles
+    ]
+    assert all(osp == dsic for osp, dsic in verdicts)
+    assert 0 < sum(osp for osp, _ in verdicts) < len(verdicts)
 
 
 def test_opt_welfare_additive_closed_form():

@@ -203,11 +203,18 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     config.write_text('{"budget_seconds": NaN}')
     code, _, err = run_cli(capsys, *search, "--grid", "0,1", "--config", str(config))
     assert code == 2 and "budget" in err
+    # rationals are integers or P/Q strings, in a config as in a file
+    config.write_text('{"target_ratio": 2.5}')
+    code, _, err = run_cli(capsys, "search", "--domain", str(domain_path), "--config", str(config))
+    assert code == 2 and "target ratio" in err
 
     # a malformed field in a mechanism or domain file is named, not a traceback
     leaf = ["root", "edges", "1", "edges", "1"]
     fig1 = json.loads(Path(FIG1).read_text())
     domain = json.loads(domain_path.read_text())
+    ca = AuctionSetting(kind="combinatorial", n=2, m=2)
+    ca_domain = json.loads(serialize_domain(adversarial_domain(ca, "ca-single-minded")))
+    values = ["strategies", 0, 0, "valuation", "values"]
     cases = (
         ("allocation", fig1, leaf + ["allocation"], None),
         ("speaker", fig1, ["root", "speaker"], "x"),
@@ -217,6 +224,18 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ("strategies", fig1, ["strategies"], 5),
         ("strategies", fig1, ["strategies", 0], 5),
         ("quantity", domain, ["players", 0, 0, "quantity"], "x"),
+        # values of the wrong type are rejected, not rounded or coerced
+        ("speaker", fig1, ["root", "speaker"], 0.9),
+        ("n", fig1, ["setting", "n"], 2.5),
+        ("payments", fig1, leaf + ["payments", 0], True),
+        ("allocation", fig1, leaf + ["allocation", 1, 0], 0.5),
+        ("quantity", domain, ["players", 0, 0, "quantity"], 2.7),
+        ("bundle", ca_domain, ["players", 0, 0, "bundle"], ["x"]),
+        ("players", domain, ["players"], 5),
+        # valuations that do not fit the setting's m items
+        ("values", fig1, values, []),
+        ("values", fig1, values, ["1/1", "2/1"]),
+        ("quantity", domain, ["players", 0, 0, "quantity"], 3),
     )
     for field, doc, path, value in cases:
         doc = json.loads(json.dumps(doc))

@@ -21,6 +21,7 @@ from ospcheck import (
     second_price_single_item,
     serial_posted_price,
 )
+from ospcheck.model import read_int, read_rational
 from ospcheck.serialize import parse_mechanism, serialize_mechanism
 
 from helpers import random_instance, random_setting, random_tree_spec, walk_index
@@ -98,6 +99,24 @@ def test_speaker_out_of_range():
     spec = {"speaker": 1, "edges": {"a": leaf_spec(1)}}
     with pytest.raises(MechanismError, match="speaker"):
         build_tree(spec, CA11)
+
+
+def test_strict_readers():
+    """Integers are ints and rationals are Fractions, ints or Fraction strings;
+    nothing else is rounded or coerced into one."""
+    assert read_int(3) == 3
+    for raw in (True, 2.0, 0.9, "1", None):
+        with pytest.raises(MechanismError, match="expected an integer"):
+            read_int(raw)
+    assert read_rational(Fraction(7, 2)) == read_rational("7/2") == Fraction(7, 2)
+    assert read_rational(4) == read_rational("4") == 4
+    for raw in (True, 0.5, "1/0", "x", None, [1]):
+        with pytest.raises(MechanismError, match="bad rational"):
+            read_rational(raw)
+    for spec in ({"speaker": 0.9, "edges": {"a": leaf_spec(1)}},
+                 leaf_spec(1, alloc=[[0.5]]), {"allocation": [[]], "payments": [True]}):
+        with pytest.raises(MechanismError, match="unreadable"):
+            build_tree(spec, CA11)
 
 
 def test_arena_cycle_and_orphan():

@@ -1,13 +1,21 @@
 """File formats: canonical round-trips, error reporting."""
 
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ospcheck import (
+    AdditiveValuation,
     AuctionSetting,
+    Domain,
+    GeneralCA,
+    GeneralMU,
     MechanismBundle,
+    SingleMindedCA,
+    SingleMindedMU,
+    UnitDemandValuation,
     adversarial_domain,
     grand_bundle_ascending,
     restricted_additive_domain,
@@ -46,6 +54,31 @@ def test_parse_serialize_parse_idempotent():
         again = parse_mechanism(serialize_mechanism(once))
         assert serialize_mechanism(again) == text
         assert again.tree == bundle.tree
+
+
+def test_valuation_bytes_pinned():
+    """Every valuation family serializes to pinned bytes (its tag, then its
+    dataclass fields in order) and parses back to an equal domain."""
+    F = Fraction
+    ca = AuctionSetting(kind="combinatorial", n=2, m=2)
+    mu = AuctionSetting(kind="multi-unit", n=2, m=2)
+    ca_dom = Domain(setting=ca, players=(
+        (AdditiveValuation(values=(F(1), F(7, 2))), UnitDemandValuation(values=(F(0), F(5, 3)))),
+        (SingleMindedCA(bundle=frozenset({1, 0}), value=F(9, 4)),
+         GeneralCA(values=(F(0), F(1), F(2), F(7, 2)))),
+    ))
+    mu_dom = Domain(setting=mu, players=(
+        (SingleMindedMU(quantity=2, value=F(11, 3)),),
+        (GeneralMU(values=(F(0), F(1, 2), F(3))), SingleMindedMU(quantity=1, value=F(4))),
+    ))
+    pins = {
+        ca_dom: "8bf8160443b509ae67ca8d1010c15987dd0edb91144a4d3fe95d94820b714c3c",
+        mu_dom: "225d2fd486a64aa30b4839d54f124072449cdcca5a53f59e35929e87f14b3cdc",
+    }
+    for dom, digest in pins.items():
+        text = serialize_domain(dom)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert parse_domain(text) == dom
 
 
 def test_tree_only_files_supported():
