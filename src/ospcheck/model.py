@@ -9,6 +9,7 @@ walks from the root to a leaf.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -240,16 +241,39 @@ def read_int(raw) -> int:
     raise MechanismError(f"expected an integer, got {raw!r}")
 
 
+def read_str(raw) -> str:
+    """``raw`` itself if it is a ``str``; MechanismError otherwise."""
+    if isinstance(raw, str):
+        return raw
+    raise MechanismError(f"expected a string, got {raw!r}")
+
+
+def read_object(raw) -> dict:
+    """``raw`` itself if it is a ``dict`` (a JSON object); MechanismError otherwise."""
+    if isinstance(raw, dict):
+        return raw
+    raise MechanismError(f"expected an object, got {raw!r}")
+
+
+@functools.lru_cache(maxsize=1024)
+def _fraction_of(text: str) -> Fraction:
+    # Fraction is immutable, so one instance can serve every equal string;
+    # a string Fraction() rejects raises and so is never cached
+    return Fraction(text)
+
+
 def read_rational(raw) -> Fraction:
     """An exact rational from a ``Fraction``, a non-bool ``int`` or a string that
     ``Fraction()`` accepts (``"3"``, ``"7/2"``); MechanismError otherwise."""
-    if isinstance(raw, Fraction):
-        return raw
-    if isinstance(raw, str) or is_int(raw):
+    if isinstance(raw, str):  # first: a Fraction check on a str is an ABC lookup
         try:
-            return Fraction(raw)
+            return _fraction_of(raw)
         except (ValueError, ZeroDivisionError):
             pass
+    elif isinstance(raw, Fraction):
+        return raw
+    elif is_int(raw):
+        return Fraction(raw)
     raise MechanismError(f"bad rational {raw!r}")
 
 
@@ -262,17 +286,26 @@ def read_list(read):
     return read_each
 
 
+_read_ints = read_list(read_int)
+read_rationals = read_list(read_rational)
+
+
 def read_items(raw) -> frozenset:
     """A combinatorial bundle from a list of integer item indices."""
-    return frozenset(read_list(read_int)(raw))
+    return frozenset(_read_ints(raw))
 
 
 def read_field(raw: dict, name: str, read, where: str):
     """``read(raw[name])``; a missing or unreadable field raises MechanismError naming it."""
     if not isinstance(raw, dict) or name not in raw:
         raise MechanismError(f"{where} has no {name!r} field")
+    return read_value(raw[name], name, read, where)
+
+
+def read_value(value, name: str, read, where: str):
+    """``read(value)``; an unreadable value raises MechanismError naming field ``name``."""
     try:
-        return read(raw[name])
+        return read(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise MechanismError(f"{where}: unreadable {name!r} field: {exc}") from None
 
@@ -285,8 +318,9 @@ def build_tree(spec, setting: AuctionSetting) -> MechanismTree:
 
     ``spec`` is a nested node dict: internal ``{"speaker", "edges"}`` with
     ``edges`` mapping each label to a child description, leaf
-    ``{"allocation", "payments"}``, both with an optional ``"id"``.  A
-    missing or unreadable field raises MechanismError naming it.  Edge maps
+    ``{"allocation", "payments"}``, both with an optional ``"id"``.  Ids
+    and edge labels are strings.  A missing or unreadable field raises
+    MechanismError naming it.  Edge maps
     are canonicalized to lexicographic label order and unnamed nodes get
     stable preorder ids ``#0, #1, ...``, so rebuilding a serialized tree
     reproduces the same ids.
@@ -294,15 +328,17 @@ def build_tree(spec, setting: AuctionSetting) -> MechanismTree:
     nodes: dict = {}
 
     read_allocation = read_list(read_items if setting.is_combinatorial else read_int)
-    read_payments = read_list(read_rational)
 
     def add_node(raw) -> str:
         if not isinstance(raw, dict):
             raise MechanismError(f"node description must be a mapping, got {type(raw).__name__}")
         given = raw.get("id")
-        nid = _AUTO_PREFIX + str(len(nodes)) if given is None else str(given)
-        if given is not None and nid.startswith(_AUTO_PREFIX):
-            raise MechanismError(f"node ids may not start with {_AUTO_PREFIX!r}: {nid!r}")
+        if given is None:
+            nid = _AUTO_PREFIX + str(len(nodes))
+        else:
+            nid = read_value(given, "id", read_str, "node description")
+            if nid.startswith(_AUTO_PREFIX):
+                raise MechanismError(f"node ids may not start with {_AUTO_PREFIX!r}: {nid!r}")
         if nid in nodes:
             raise MechanismError(f"duplicate node id {nid!r}")
         nodes[nid] = None  # reserve before children so ids follow preorder
@@ -311,18 +347,20 @@ def build_tree(spec, setting: AuctionSetting) -> MechanismTree:
             edges_raw = raw.get("edges")
             if not isinstance(edges_raw, dict) or not edges_raw:
                 raise MechanismError(f"internal node {nid!r} needs a nonempty edge map")
-            by_label = {}
-            for lbl, child in edges_raw.items():
-                if str(lbl) in by_label:
-                    raise MechanismError(f"duplicate message label at node {nid!r}")
-                by_label[str(lbl)] = child
+            for lbl in edges_raw:
+                if not isinstance(lbl, str):
+                    # a file holds every label as a string, so this one
+                    # is a duplicate if its string is another label
+                    if str(lbl) in edges_raw:
+                        raise MechanismError(f"duplicate message label at node {nid!r}")
+                    raise MechanismError(f"{where}: message label {lbl!r} is not a string")
             speaker = read_field(raw, "speaker", read_int, where)
-            edges = {lbl: add_node(by_label[lbl]) for lbl in sorted(by_label)}
+            edges = {lbl: add_node(edges_raw[lbl]) for lbl in sorted(edges_raw)}
             nodes[nid] = InternalNode(speaker=speaker, edges=edges)
         else:
             nodes[nid] = Leaf(
                 allocation=read_field(raw, "allocation", read_allocation, where),
-                payments=read_field(raw, "payments", read_payments, where),
+                payments=read_field(raw, "payments", read_rationals, where),
             )
         return nid
 

@@ -2,14 +2,25 @@
 
 The canonical encoding sorts edge labels, reduces rationals, and omits
 auto-generated node ids, so parse -> serialize -> parse is the identity on
-the parsed objects and serialized bytes are stable.
+the parsed objects and serialized bytes are stable.  Those bytes are
+exactly what ``json.dumps(doc, indent=2)`` writes for the document, plus a
+final newline: one entry per line, indented two spaces per level, and
+every non-ASCII character escaped as ``\\uXXXX``.  :func:`_dump` writes
+them directly, with the C string escaper ``json.dumps`` itself uses,
+since with an indent ``json.dumps`` falls back to its pure-Python
+encoder.  Reports (``report.to_json``) stay on ``json.dumps``: they carry
+floats and are written once per command.
+
+Loading builds plain dicts and checks each object's key count against its
+source pairs; only an object whose source repeats a key records which
+keys repeat, so a duplicate message label is still an error.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .model import (
     AuctionSetting,
@@ -20,9 +31,9 @@ from .model import (
     build_tree,
     read_field,
     read_int,
-    read_items,
     read_list,
-    read_rational,
+    read_object,
+    read_str,
 )
 from .valuations import FAMILIES, Domain, ValuationError
 from .mechanisms import MechanismBundle
@@ -47,7 +58,7 @@ def setting_to_json(setting: AuctionSetting) -> dict:
 def setting_from_json(raw) -> AuctionSetting:
     try:
         return AuctionSetting(
-            kind=read_field(raw, "kind", str, "setting"),
+            kind=read_field(raw, "kind", read_str, "setting"),
             n=read_field(raw, "n", read_int, "setting"),
             m=read_field(raw, "m", read_int, "setting"),
         )
@@ -55,37 +66,42 @@ def setting_from_json(raw) -> AuctionSetting:
         raise ParseError(f"bad setting block: {exc}") from None
 
 
-#: Per valuation field: its JSON encoder and its reader.  A family's JSON
-#: object is its tag followed by its dataclass fields, in declaration order.
+#: Per valuation field: its JSON encoding.  A family's JSON object is its
+#: tag followed by its dataclass fields, in declaration order.
 _VALUATION_FIELDS = {
-    "values": (lambda xs: [frac_str(x) for x in xs], read_list(read_rational)),
-    "bundle": (sorted, read_items),
-    "value": (frac_str, read_rational),
-    "quantity": (lambda q: q, read_int),
+    "values": lambda xs: [frac_str(x) for x in xs],
+    "bundle": sorted,
+    "value": frac_str,
+    "quantity": lambda q: q,
 }
 
 
 def valuation_to_json(v) -> dict:
     doc = {"tag": v.tag}
-    for f in fields(v):
-        doc[f.name] = _VALUATION_FIELDS[f.name][0](getattr(v, f.name))
+    for name in v.__dataclass_fields__:
+        doc[name] = _VALUATION_FIELDS[name](getattr(v, name))
     return doc
 
 
 def valuation_from_json(raw) -> object:
-    tag = read_field(raw, "tag", str, "valuation")
+    """The family's constructor reads and checks each field (``valuations``)."""
+    tag = read_field(raw, "tag", read_str, "valuation")
     cls = FAMILIES.get(tag)
     if cls is None:
         raise ParseError(f"unknown valuation tag {tag!r}")
-    where = f"{tag} valuation"
-    return cls(**{
-        f.name: read_field(raw, f.name, _VALUATION_FIELDS[f.name][1], where)
-        for f in fields(cls)
-    })
+    try:
+        params = {name: raw[name] for name in cls.__dataclass_fields__}
+    except KeyError as exc:
+        raise ParseError(f"{tag} valuation has no {exc.args[0]!r} field") from None
+    return cls(**params)
 
 
 def _choices(raw) -> dict:
-    return {str(nid): str(lbl) for nid, lbl in dict(raw).items()}
+    """A behavior: a JSON object from node ids to message labels, all strings."""
+    for label in read_object(raw).values():
+        if not isinstance(label, str):
+            raise MechanismError(f"message label {label!r} is not a string")
+    return raw
 
 
 def _node_to_json(tree: MechanismTree, nid: str) -> dict:
@@ -129,9 +145,41 @@ def bundle_to_json_doc(bundle: MechanismBundle) -> dict:
     return doc
 
 
+def _dump(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for the formats' types, nested at ``pad``.
+
+    ``value`` is a dict with str keys, a list or tuple, a str, or an int
+    that is not a bool; any other type raises TypeError.  A list of only
+    strs or only ints is joined in one step.
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        body = [_quote(key) + ": " + _dump(item, inner) for key, item in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            body = map(_quote, value)
+        elif kinds == {int}:
+            body = map(int.__repr__, value)
+        else:
+            body = [_dump(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
+    raise TypeError(f"a {kind.__name__} has no place in an ospcheck file")
+
+
 def serialize_mechanism(obj) -> str:
     doc = bundle_to_json_doc(obj) if isinstance(obj, MechanismBundle) else tree_to_json(obj)
-    return json.dumps(doc, indent=2) + "\n"
+    return _dump(doc) + "\n"
 
 
 class _TrackedDict(dict):
@@ -146,6 +194,12 @@ class _TrackedDict(dict):
             if key in self:
                 self.duplicates.append(key)
             self[key] = value
+
+
+def _object(pairs) -> dict:
+    """A JSON object as a plain dict, or a _TrackedDict if its source repeats a key."""
+    obj = dict(pairs)
+    return obj if len(obj) == len(pairs) else _TrackedDict(pairs)
 
 
 def _check_labels(raw, path: str) -> None:
@@ -165,7 +219,7 @@ def _load_json(data):
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
-        return json.loads(data, object_pairs_hook=_TrackedDict)
+        return json.loads(data, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 
@@ -195,7 +249,7 @@ def parse_mechanism(data):
             vals, table = [], {}
             for k, entry in enumerate(entries):
                 where = f"strategy entry {k} of player {i}"
-                v = valuation_from_json(read_field(entry, "valuation", dict, where))
+                v = valuation_from_json(read_field(entry, "valuation", read_object, where))
                 table[v] = Behavior(owner=i, choices=read_field(entry, "behavior", _choices, where))
                 vals.append(v)
             players.append(tuple(vals))
@@ -216,7 +270,7 @@ def domain_to_json_doc(domain: Domain) -> dict:
 
 
 def serialize_domain(domain: Domain) -> str:
-    return json.dumps(domain_to_json_doc(domain), indent=2) + "\n"
+    return _dump(domain_to_json_doc(domain)) + "\n"
 
 
 def parse_domain(data) -> Domain:

@@ -18,7 +18,11 @@ from .model import (
     AuctionSetting,
     Bundle,
     is_int,
+    read_int,
+    read_items,
     read_rational,
+    read_rationals,
+    read_value,
 )
 
 
@@ -26,11 +30,26 @@ class ValuationError(ValueError):
     """Raised for ill-formed valuation parameters or domains."""
 
 
-def _nonneg(values) -> tuple:
-    out = tuple(map(read_rational, values))
-    if any(v < 0 for v in out):
+#: Per valuation field: its reader.  Every family's constructor reads its
+#: fields through these, so a value from a file or a library caller is
+#: converted once, and an unreadable one raises naming its field.
+_FIELD_READERS = {
+    "values": read_rationals,
+    "bundle": read_items,
+    "value": read_rational,
+    "quantity": read_int,
+}
+
+
+def _read_fields(v) -> None:
+    where = f"{v.tag} valuation"
+    for name in v.__dataclass_fields__:
+        object.__setattr__(v, name, read_value(getattr(v, name), name, _FIELD_READERS[name], where))
+
+
+def _nonneg(values) -> None:
+    if any(v < 0 for v in values):
         raise ValuationError("values must be nonnegative")
-    return out
 
 
 @dataclass(frozen=True)
@@ -43,7 +62,8 @@ class AdditiveValuation:
     kind = COMBINATORIAL
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _nonneg(self.values))
+        _read_fields(self)
+        _nonneg(self.values)
 
     def evaluate(self, bundle: Bundle) -> Fraction:
         _expect_set(bundle)
@@ -60,7 +80,8 @@ class UnitDemandValuation:
     kind = COMBINATORIAL
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _nonneg(self.values))
+        _read_fields(self)
+        _nonneg(self.values)
 
     def evaluate(self, bundle: Bundle) -> Fraction:
         _expect_set(bundle)
@@ -78,8 +99,7 @@ class SingleMindedCA:
     kind = COMBINATORIAL
 
     def __post_init__(self):
-        object.__setattr__(self, "bundle", frozenset(self.bundle))
-        object.__setattr__(self, "value", read_rational(self.value))
+        _read_fields(self)
         if self.value < 0:
             raise ValuationError("values must be nonnegative")
         if not self.bundle:
@@ -101,7 +121,7 @@ class SingleMindedMU:
     kind = MULTI_UNIT
 
     def __post_init__(self):
-        object.__setattr__(self, "value", read_rational(self.value))
+        _read_fields(self)
         if self.value < 0:
             raise ValuationError("values must be nonnegative")
         if self.quantity < 1:
@@ -122,8 +142,9 @@ class GeneralCA:
     kind = COMBINATORIAL
 
     def __post_init__(self):
-        vals = _nonneg(self.values)
-        object.__setattr__(self, "values", vals)
+        _read_fields(self)
+        vals = self.values
+        _nonneg(vals)
         size = len(vals)
         if size == 0 or size & (size - 1):
             raise ValuationError("general table length must be a power of two")
@@ -150,8 +171,9 @@ class GeneralMU:
     kind = MULTI_UNIT
 
     def __post_init__(self):
-        vals = _nonneg(self.values)
-        object.__setattr__(self, "values", vals)
+        _read_fields(self)
+        vals = self.values
+        _nonneg(vals)
         if not vals:
             raise ValuationError("empty quantity table")
         if vals[0] != 0:
@@ -177,10 +199,9 @@ _FITS = {
     UnitDemandValuation: ("values", lambda v, m: len(v.values) == m, "m entries"),
     GeneralCA: ("values", lambda v, m: len(v.values) == 1 << m, "2^m entries"),
     GeneralMU: ("values", lambda v, m: len(v.values) == m + 1, "m + 1 entries"),
-    SingleMindedCA: ("bundle", lambda v, m: all(is_int(j) and 0 <= j < m for j in v.bundle),
+    SingleMindedCA: ("bundle", lambda v, m: all(0 <= j < m for j in v.bundle),
                      "integer item indices in 0..m-1"),
-    SingleMindedMU: ("quantity", lambda v, m: is_int(v.quantity) and 1 <= v.quantity <= m,
-                     "an integer in 1..m"),
+    SingleMindedMU: ("quantity", lambda v, m: v.quantity <= m, "an integer in 1..m"),
 }
 
 

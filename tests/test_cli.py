@@ -215,6 +215,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ca = AuctionSetting(kind="combinatorial", n=2, m=2)
     ca_domain = json.loads(serialize_domain(adversarial_domain(ca, "ca-single-minded")))
     values = ["strategies", 0, 0, "valuation", "values"]
+    # fig1 with its root named "7", so that an integer id 7 would match by coercion
+    fig1_7 = json.loads(json.dumps(fig1).replace('"N1"', '"7"'))
     cases = (
         ("allocation", fig1, leaf + ["allocation"], None),
         ("speaker", fig1, ["root", "speaker"], "x"),
@@ -232,6 +234,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ("quantity", domain, ["players", 0, 0, "quantity"], 2.7),
         ("bundle", ca_domain, ["players", 0, 0, "bundle"], ["x"]),
         ("players", domain, ["players"], 5),
+        # ids and labels are strings and a behavior is an object
+        ("behavior", fig1, ["strategies", 0, 0, "behavior", "N1"], 1),
+        ("behavior", fig1, ["strategies", 0, 1, "behavior"], [["N1", "2"]]),
+        ("id", fig1_7, ["root", "id"], 7),
         # valuations that do not fit the setting's m items
         ("values", fig1, values, []),
         ("values", fig1, values, ["1/1", "2/1"]),

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ospcheck import (
+    AdditiveValuation,
     AuctionSetting,
     Behavior,
     InternalNode,
@@ -20,6 +21,8 @@ from ospcheck import (
     run,
     second_price_single_item,
     serial_posted_price,
+    SingleMindedCA,
+    SingleMindedMU,
 )
 from ospcheck.model import read_int, read_rational
 from ospcheck.serialize import parse_mechanism, serialize_mechanism
@@ -114,9 +117,18 @@ def test_strict_readers():
         with pytest.raises(MechanismError, match="bad rational"):
             read_rational(raw)
     for spec in ({"speaker": 0.9, "edges": {"a": leaf_spec(1)}},
-                 leaf_spec(1, alloc=[[0.5]]), {"allocation": [[]], "payments": [True]}):
+                 leaf_spec(1, alloc=[[0.5]]), {"allocation": [[]], "payments": [True]},
+                 {"id": 7, **leaf_spec(1)}):
         with pytest.raises(MechanismError, match="unreadable"):
             build_tree(spec, CA11)
+    with pytest.raises(MechanismError, match="label 1 is not a string"):
+        build_tree({"speaker": 0, "edges": {1: leaf_spec(1)}}, CA11)
+    # a valuation constructor reads its fields as a file does, naming the bad one
+    for make, field in ((lambda: AdditiveValuation(values=("x",)), "'values'"),
+                        (lambda: SingleMindedMU(quantity=1.5, value=1), "'quantity'"),
+                        (lambda: SingleMindedCA(bundle=frozenset({"a"}), value=1), "'bundle'")):
+        with pytest.raises(MechanismError, match=field):
+            make()
 
 
 def test_arena_cycle_and_orphan():

@@ -1,10 +1,12 @@
 """File formats: canonical round-trips, error reporting."""
 
 import hashlib
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ospcheck import (
     AdditiveValuation,
@@ -24,6 +26,7 @@ from ospcheck import (
 )
 from ospcheck.serialize import (
     ParseError,
+    _dump,
     parse_domain,
     parse_mechanism,
     serialize_domain,
@@ -134,3 +137,61 @@ def test_wrong_format_and_bad_rational():
     """
     with pytest.raises(ParseError, match="bad rational"):
         parse_domain(doc)
+
+
+#: Strings that stress escaping: quotes, backslashes, control characters,
+#: non-ASCII and astral (surrogate-pair) characters, among arbitrary text.
+TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\u20ac\U0001f600a') | st.characters())
+INTS = st.integers() | st.sampled_from([-(2**63) - 1, 2**63, 2**64 + 1, -(10**30)])
+DOCS = st.recursive(
+    TEXT | INTS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DOCS)
+def test_writer_matches_json_dumps(doc):
+    assert _dump(doc) == json.dumps(doc, indent=2)
+
+
+def test_writer_rejects_other_types():
+    for bad in (1.5, True, None, [1, False], {"a": [None]}, {1: "a"}, frozenset()):
+        with pytest.raises(TypeError):
+            _dump(bad)
+
+
+def test_fig1_fixture_is_canonical():
+    data = (FIXTURES / "fig1_second_price.json").read_text()
+    assert serialize_mechanism(parse_mechanism(data)) == data
+
+
+def test_duplicate_label_deep_in_the_tree():
+    leaf = '{"allocation": [[]], "payments": ["0/1"]}'
+    doc = f"""
+    {{"format": "ospcheck-mechanism", "version": 1,
+     "setting": {{"kind": "combinatorial", "n": 1, "m": 1}},
+     "root": {{"speaker": 0, "edges": {{"x": {{"speaker": 0, "edges": {{
+        "y": {{"speaker": 0, "edges": {{"a": {leaf}, "b": {leaf}, "a": {leaf}}}}},
+        "z": {leaf}}}}}}}}}}}
+    """
+    with pytest.raises(ParseError, match="duplicate message label 'a' at node /x/y"):
+        parse_mechanism(doc)
+
+
+def test_repeated_field_keeps_the_last():
+    """A key repeated outside an edge map is no error: the last one counts,
+    as in ``json.loads``."""
+    doc = """
+    {"format": "ospcheck-mechanism", "version": 1,
+     "setting": {"kind": "combinatorial", "n": 1, "m": 1},
+     "root": {"speaker": 0, "edges": {
+        "a": {"allocation": [[0]], "payments": ["1/1"], "payments": ["5/2"]},
+        "b": {"allocation": [[]], "payments": ["0/1"]}}}}
+    """
+    tree = parse_mechanism(doc)
+    assert tree.nodes["#1"].payments == (Fraction(5, 2),)
+    assert tree.nodes["#2"].payments == (Fraction(0),)
