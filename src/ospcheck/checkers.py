@@ -7,6 +7,11 @@ consistency scan and the first-divergence locator.
 
 Every checker walks the supplied domain in deterministic product order, so
 the first witness found is independent of how callers partition the work.
+
+The IR, OSP and DSIC checkers, the bad-leaf scan and the welfare ratio
+compare integers: every value and payment they read is scaled by one common
+denominator, in a table built once per tree and domain (``_Table``).  Their
+witnesses and reports carry the exact ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -98,18 +104,71 @@ def _realized(tree: MechanismTree, strategies: Sequence, domain):
         yield profile, behaviors, leaf_id, path
 
 
+class _Table:
+    """Every utility and value the checkers compare, as exact integers.
+
+    ``scale`` is the lcm of the denominators of every leaf payment and of
+    every value a player's valuations take on each bundle she gets at a leaf
+    or in a valid allocation.  A rational ``x`` among these is stored as
+    ``x.numerator * (scale // x.denominator)``, and ``Fraction(u, scale)``
+    gives it back.  ``utils[i][vi]`` maps each leaf id to player i's scaled
+    utility there under her vi-th valuation; ``values[i][bundle]`` is her row
+    of scaled values for that bundle, one per valuation.
+    """
+
+    def __init__(self, tree: MechanismTree, players):
+        leaves = [tree.nodes[lid] for lid in tree.leaf_ids]
+        self.allocations = tuple(enumerate_allocations(tree.setting))
+        raw = []
+        for i, vs in enumerate(players):
+            bundles = {leaf.allocation[i] for leaf in leaves}
+            bundles.update(a[i] for a in self.allocations)
+            raw.append({b: [evaluate(v, b) for v in vs] for b in bundles})
+        denominators = {x.denominator for rows in raw for row in rows.values() for x in row}
+        denominators.update(p.denominator for leaf in leaves for p in leaf.payments)
+        scale = self.scale = lcm(*denominators)
+        self.values = [
+            {b: [x.numerator * (scale // x.denominator) for x in row] for b, row in rows.items()}
+            for rows in raw
+        ]
+        self.utils = [[{} for _ in vs] for vs in players]
+        for lid, leaf in zip(tree.leaf_ids, leaves):
+            for i, (b, p) in enumerate(zip(leaf.allocation, leaf.payments)):
+                pay = p.numerator * (scale // p.denominator)
+                for u, x in zip(self.utils[i], self.values[i][b]):
+                    u[lid] = x - pay
+
+    def exact(self, x: int) -> Fraction:
+        return Fraction(x, self.scale)
+
+
+def _table(tree: MechanismTree, domain) -> _Table:
+    """The table for ``tree`` and the domain's players, kept on the tree and
+    reused for that same players object.  Trees and valuations never change,
+    so only a mutable players container could go stale: none is kept."""
+    players = _players(domain)
+    memo = tree.checker_memo
+    if memo is not None and memo[0] is players:
+        return memo[1]
+    table = _Table(tree, players)
+    if isinstance(players, tuple) and all(isinstance(vs, tuple) for vs in players):
+        tree.checker_memo = (players, table)
+    return table
+
+
 def check_ir(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     """Individual rationality: realized utility is never negative."""
-    for profile, behaviors, leaf_id, _ in _realized(tree, strategies, domain):
-        leaf = tree.nodes[leaf_id]
-        for i, v in enumerate(profile):
-            u = utility(v, leaf.allocation[i], leaf.payments[i])
-            if u < 0:
+    table = _table(tree, domain)
+    realized = _realized(tree, strategies, domain)
+    for us, (profile, behaviors, leaf_id, _) in zip(itertools.product(*table.utils), realized):
+        for i, u in enumerate(us):
+            if u[leaf_id] < 0:
                 return Verdict(
                     "ir",
                     False,
-                    Witness(player=i, valuation=v, profile=profile,
-                            behaviors=behaviors, leaf=leaf_id, utility=u),
+                    Witness(player=i, valuation=profile[i], profile=profile,
+                            behaviors=behaviors, leaf=leaf_id,
+                            utility=table.exact(u[leaf_id])),
                 )
     return Verdict("ir", True)
 
@@ -128,18 +187,6 @@ def check_nnt(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
                             note="player is paid by the mechanism"),
                 )
     return Verdict("nnt", True)
-
-
-class _Utilities(dict):
-    """One player's utility under one valuation, per leaf id, computed on first use."""
-
-    def __init__(self, tree: MechanismTree, player: int, valuation):
-        self.nodes, self.player, self.valuation = tree.nodes, player, valuation
-
-    def __missing__(self, lid: str) -> Fraction:
-        leaf, i = self.nodes[lid], self.player
-        u = self[lid] = utility(self.valuation, leaf.allocation[i], leaf.payments[i])
-        return u
 
 
 def _off_path(tree: MechanismTree, path: list):
@@ -175,7 +222,7 @@ def _consistent_reach(tree: MechanismTree, player: int, behavior: Behavior):
     return visited
 
 
-def _osp_stats(tree: MechanismTree, player: int, behavior: Behavior, u: _Utilities):
+def _osp_stats(tree: MechanismTree, player: int, behavior: Behavior, u: dict):
     """Per-node (min, argmin-leaf) of the player's utility over leaves she can still
     reach from that node while following ``behavior`` at her own nodes, and per-node
     (max, argmax-leaf) over all leaves below; ties keep the first leaf in preorder."""
@@ -227,11 +274,12 @@ def check_osp(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     be at least as good as the best leaf anywhere under any other message.
     Vertices with a single message impose no constraint.
     """
+    table = _table(tree, domain)
     for i in range(tree.setting.n):
-        for v in _players(domain)[i]:
+        for v, u in zip(_players(domain)[i], table.utils[i]):
             behavior = strategies[i][v]
             reach = set(_consistent_reach(tree, i, behavior))
-            fmin, amax = _osp_stats(tree, i, behavior, _Utilities(tree, i, v))
+            fmin, amax = _osp_stats(tree, i, behavior, u)
             for nid in tree.nodes_of(i):
                 node = tree.nodes[nid]
                 if nid not in reach or len(node.edges) < 2:
@@ -257,7 +305,7 @@ def check_osp(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
                             player=i, vertex=nid, valuation=v,
                             behaviors=bad, alt_behaviors=good,
                             leaf=worst_leaf, alt_leaf=best_leaf,
-                            utility=worst, alt_utility=best,
+                            utility=table.exact(worst), alt_utility=table.exact(best),
                             note=f"following sends {own_label!r}, deviating to "
                                  f"{best_label!r} can end strictly better",
                         ),
@@ -272,8 +320,7 @@ def check_dsic(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     behavior of the player.  A pair of leaves (realized one following the
     plan, better one after a unilateral deviation) certifies a violation
     exactly when the paths to them split at a vertex the player owns; the
-    scan below enumerates those pairs directly, computing each utility once
-    per (valuation, leaf) in a call.
+    scan below enumerates those pairs directly.
 
     Opponents range over all contingent behaviors, so the two sides of a
     split vertex are chosen independently and the verdict is that of
@@ -282,10 +329,10 @@ def check_dsic(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     is not the DSIC over opponents' valuations under which VCG is dominant;
     switching to that notion would change verdicts and is not done here.
     """
+    table = _table(tree, domain)
     for i in range(tree.setting.n):
-        for v in _players(domain)[i]:
+        for v, u in zip(_players(domain)[i], table.utils[i]):
             behavior = strategies[i][v]
-            u = _Utilities(tree, i, v)
             reach = _consistent_reach(tree, i, behavior)
             own_leaves = [nid for nid in reach if isinstance(tree.nodes[nid], Leaf)]
             for leaf_id in own_leaves:
@@ -306,7 +353,8 @@ def check_dsic(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
                             player=i, vertex=w, valuation=v,
                             behaviors=opponents, alt_behaviors=alt,
                             leaf=leaf_id, alt_leaf=other_id,
-                            utility=u[leaf_id], alt_utility=u[other_id],
+                            utility=table.exact(u[leaf_id]),
+                            alt_utility=table.exact(u[other_id]),
                             note="a unilateral deviation beats the plan "
                                  "against fixed opponent behaviors",
                         ),
@@ -350,25 +398,32 @@ def social_welfare(profile: Sequence, allocation) -> Fraction:
 def welfare_ratio(tree: MechanismTree, strategies: Sequence, domain) -> RatioReport:
     """Exact worst-case OPT over realized welfare across the domain.
 
+    Per profile, OPT is the largest summed value over the valid allocations
+    and realized welfare the summed value at the reached leaf, both as
+    integers over the table's common denominator, so the ratio is the
+    integer quotient ``Fraction(opt, sw)``.  Ties keep the first profile.
     Conventions: 0/0 counts as 1; positive OPT over zero realized welfare is
     unbounded and dominates every finite ratio.
     """
-    setting = tree.setting
-    worst = None  # (ratio or None-for-unbounded, profile, sw, opt)
-    for profile, _, leaf_id, _ in _realized(tree, strategies, domain):
+    table = _table(tree, domain)
+    rows = [[table.values[i][b] for i, b in enumerate(a)] for a in table.allocations]
+    indices = itertools.product(*(range(len(vs)) for vs in _players(domain)))
+    worst = None  # (ratio, profile, sw, opt)
+    for vis, (profile, _, leaf_id, _) in zip(indices, _realized(tree, strategies, domain)):
         leaf = tree.nodes[leaf_id]
-        sw = social_welfare(profile, leaf.allocation)
-        opt, _ = opt_welfare(profile, setting)
-        if sw == 0:
-            ratio = None if opt > 0 else Fraction(1)
+        sw = sum(table.values[i][b][vi] for i, (b, vi) in enumerate(zip(leaf.allocation, vis)))
+        opt = max(sum(row[vi] for row, vi in zip(alloc, vis)) for alloc in rows)
+        if sw:
+            ratio = Fraction(opt, sw)
+        elif opt:
+            return RatioReport(None, profile, table.exact(sw), table.exact(opt))
         else:
-            ratio = opt / sw
-        if ratio is None:
-            return RatioReport(None, profile, sw, opt)
+            ratio = Fraction(1)
         if worst is None or ratio > worst[0]:
             worst = (ratio, profile, sw, opt)
     assert worst is not None
-    return RatioReport(*worst)
+    ratio, profile, sw, opt = worst
+    return RatioReport(ratio, profile, table.exact(sw), table.exact(opt))
 
 
 @dataclass(frozen=True)
@@ -396,11 +451,11 @@ def scan_bad_leaf_good_leaf(tree: MechanismTree, strategies: Sequence, domain) -
     speaker can qualify, and the scan checks nothing else.  Any obviously
     dominant plan yields an empty list.
     """
+    table = _table(tree, domain)
     realized = list(_realized(tree, strategies, domain))
-    rows = [[_Utilities(tree, i, v) for v in vs] for i, vs in enumerate(_players(domain))]
     out = []
     # product order over the tables matches the realized profiles' order
-    for us, (p1, _, leaf1, path1) in zip(itertools.product(*rows), realized):
+    for us, (p1, _, leaf1, path1) in zip(itertools.product(*table.utils), realized):
         good = {}  # leaf -> (player, vertex, bad utility, good utility)
         for w, leaves in _off_path(tree, path1):
             i = tree.nodes[w].speaker
@@ -411,7 +466,8 @@ def scan_bad_leaf_good_leaf(tree: MechanismTree, strategies: Sequence, domain) -
         for p2, _, leaf2, _ in realized:
             if leaf2 in good:
                 i, w, u_bad, u_good = good[leaf2]
-                out.append(BadGoodViolation(i, w, p1, p2, leaf1, leaf2, u_bad, u_good))
+                out.append(BadGoodViolation(i, w, p1, p2, leaf1, leaf2,
+                                            table.exact(u_bad), table.exact(u_good)))
     return out
 
 

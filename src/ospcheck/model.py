@@ -141,6 +141,9 @@ class MechanismTree:
         self.nodes = nodes
         self.root = root
         self._validate()
+        #: ``(players, table)`` of the checkers' last utility table for this
+        #: tree; read and written only by ``checkers._table``.
+        self.checker_memo = None
 
     def _validate(self) -> None:
         if self.root not in self.nodes:

@@ -42,9 +42,17 @@ _FIELD_READERS = {
 
 
 def _read_fields(v) -> None:
+    """Read every field of ``v`` and store the hash of the field tuple, the
+    dataclass's own hash: valuations are hashed often, and each fresh hash
+    would hash every ``Fraction`` field again."""
     where = f"{v.tag} valuation"
     for name in v.__dataclass_fields__:
         object.__setattr__(v, name, read_value(getattr(v, name), name, _FIELD_READERS[name], where))
+    object.__setattr__(v, "_hash", hash(tuple(getattr(v, name) for name in v.__dataclass_fields__)))
+
+
+def _cached_hash(v) -> int:
+    return v._hash
 
 
 def _nonneg(values) -> None:
@@ -60,6 +68,7 @@ class AdditiveValuation:
 
     tag = "additive"
     kind = COMBINATORIAL
+    __hash__ = _cached_hash
 
     def __post_init__(self):
         _read_fields(self)
@@ -78,6 +87,7 @@ class UnitDemandValuation:
 
     tag = "unit-demand"
     kind = COMBINATORIAL
+    __hash__ = _cached_hash
 
     def __post_init__(self):
         _read_fields(self)
@@ -97,6 +107,7 @@ class SingleMindedCA:
 
     tag = "single-minded-ca"
     kind = COMBINATORIAL
+    __hash__ = _cached_hash
 
     def __post_init__(self):
         _read_fields(self)
@@ -119,6 +130,7 @@ class SingleMindedMU:
 
     tag = "single-minded-mu"
     kind = MULTI_UNIT
+    __hash__ = _cached_hash
 
     def __post_init__(self):
         _read_fields(self)
@@ -140,6 +152,7 @@ class GeneralCA:
 
     tag = "general-ca"
     kind = COMBINATORIAL
+    __hash__ = _cached_hash
 
     def __post_init__(self):
         _read_fields(self)
@@ -169,6 +182,7 @@ class GeneralMU:
 
     tag = "general-mu"
     kind = MULTI_UNIT
+    __hash__ = _cached_hash
 
     def __post_init__(self):
         _read_fields(self)

@@ -37,6 +37,11 @@ from ospcheck import (
 from ospcheck.checkers import BadGoodViolation
 
 PAY_LEVELS = [Fraction(0), Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3)]
+VALUE_LEVELS = [Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)]
+#: Levels in thirds, sevenths and 1/97ths, so that sums need a common
+#: denominator far above the halves of the levels above.
+MIXED_LEVELS = [Fraction(0), Fraction(0), Fraction(1, 3), Fraction(2, 7), Fraction(1, 97),
+                Fraction(1), Fraction(5, 21), Fraction(3)]
 
 
 def random_setting(rng: random.Random, max_n=2, max_m=2) -> AuctionSetting:
@@ -44,8 +49,7 @@ def random_setting(rng: random.Random, max_n=2, max_m=2) -> AuctionSetting:
     return AuctionSetting(kind=kind, n=rng.randint(1, max_n), m=rng.randint(1, max_m))
 
 
-def random_valuation(rng: random.Random, setting: AuctionSetting):
-    levels = [Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)]
+def random_valuation(rng: random.Random, setting: AuctionSetting, levels=VALUE_LEVELS):
     if setting.is_combinatorial:
         values = [Fraction(0)] * (1 << setting.m)
         for mask in range(1, 1 << setting.m):
@@ -78,27 +82,34 @@ def random_allocation(rng: random.Random, setting: AuctionSetting):
     return tuple(out)
 
 
-def random_tree_spec(rng: random.Random, setting: AuctionSetting, depth: int):
+def random_tree_spec(rng: random.Random, setting: AuctionSetting, depth: int,
+                     pay_levels=PAY_LEVELS):
     if depth == 0 or rng.random() < 0.35:
         return {
             "allocation": list(random_allocation(rng, setting)),
-            "payments": [rng.choice(PAY_LEVELS) for _ in range(setting.n)],
+            "payments": [rng.choice(pay_levels) for _ in range(setting.n)],
         }
     fanout = rng.randint(2, 3)
     return {
         "speaker": rng.randrange(setting.n),
         "edges": {
-            str(lbl): random_tree_spec(rng, setting, depth - 1) for lbl in range(fanout)
+            str(lbl): random_tree_spec(rng, setting, depth - 1, pay_levels)
+            for lbl in range(fanout)
         },
     }
 
 
-def random_instance(rng: random.Random, max_depth=3, max_domain=3) -> MechanismBundle:
-    """Random (tree, strategies, domain): strategies are arbitrary, not truthful."""
+def random_instance(rng: random.Random, max_depth=3, max_domain=3,
+                    levels=VALUE_LEVELS, pay_levels=PAY_LEVELS) -> MechanismBundle:
+    """Random (tree, strategies, domain): strategies are arbitrary, not truthful.
+
+    Valuation increments are drawn from ``levels``, leaf payments from
+    ``pay_levels``.
+    """
     setting = random_setting(rng)
-    tree = build_tree(random_tree_spec(rng, setting, max_depth), setting)
+    tree = build_tree(random_tree_spec(rng, setting, max_depth, pay_levels), setting)
     players = tuple(
-        tuple(random_valuation(rng, setting) for _ in range(rng.randint(1, max_domain)))
+        tuple(random_valuation(rng, setting, levels) for _ in range(rng.randint(1, max_domain)))
         for _ in range(setting.n)
     )
     domain = Domain(setting=setting, players=players)

@@ -1,5 +1,6 @@
 """Property checkers against hand computations and brute-force oracles."""
 
+import collections
 import hashlib
 import random
 from fractions import Fraction
@@ -30,10 +31,14 @@ from ospcheck import (
     scan_bad_leaf_good_leaf,
     second_price_single_item,
     serial_posted_price,
+    social_welfare,
     welfare_ratio,
 )
+from ospcheck import checkers
+from ospcheck.model import MechanismTree
 
 from helpers import (
+    MIXED_LEVELS,
     leaf_utility,
     oracle_bad_leaf_good_leaf,
     oracle_dsic,
@@ -472,3 +477,104 @@ def test_mu_payment_bounds_reference_and_violation():
     assert report.all_units_winner == (0, Fraction(5))
     assert report.all_units_within_square is False
     assert welfare_ratio(*bundle.checker_args()).unbounded
+
+
+def brute_ratio(bundle):
+    """``welfare_ratio``'s report recomputed profile by profile with
+    ``opt_welfare`` and ``social_welfare`` over exact Fractions."""
+    tree, strategies, domain = bundle.checker_args()
+    worst = None
+    for profile in domain.profiles():
+        leaf_id, _ = run(tree, tuple(strategies[i][v] for i, v in enumerate(profile)))
+        sw = social_welfare(profile, tree.nodes[leaf_id].allocation)
+        opt, _ = opt_welfare(profile, tree.setting)
+        if sw == 0 and opt > 0:
+            return (None, profile, sw, opt)
+        ratio = opt / sw if sw else Fraction(1)
+        if worst is None or ratio > worst[0]:
+            worst = (ratio, profile, sw, opt)
+    return worst
+
+
+def test_integer_path_with_mixed_denominators():
+    """Values and payments in thirds, sevenths and 1/97ths: the integer
+    verdicts, witnesses, bad-leaf scan and ratio match the Fraction oracles."""
+    rng = random.Random(1997)
+    denominators = set()
+    small = 0
+    for _ in range(150):
+        bundle = random_instance(rng, levels=MIXED_LEVELS, pay_levels=MIXED_LEVELS)
+        args = bundle.checker_args()
+        tree = bundle.tree
+        if len(tree.nodes) <= 8:
+            small += 1
+            assert check_osp(*args).passed == oracle_osp(bundle)
+            assert check_dsic(*args).passed == oracle_dsic(bundle)
+        for chk in (check_osp, check_dsic, check_ir):
+            w = chk(*args).witness
+            if w is None:
+                continue
+            assert w.utility == leaf_utility(tree, w.leaf, w.player, w.valuation)
+            if w.alt_leaf is not None:
+                assert w.alt_utility == leaf_utility(tree, w.alt_leaf, w.player, w.valuation)
+            denominators.add(w.utility.denominator)
+        bad = scan_bad_leaf_good_leaf(*args)
+        assert bad == oracle_bad_leaf_good_leaf(*args)
+        denominators.update(v.alt_utility.denominator for v in bad)
+        report = welfare_ratio(*args)
+        assert (report.ratio, report.worst_profile, report.mechanism_welfare,
+                report.optimum) == brute_ratio(bundle)
+        if report.ratio is not None:
+            denominators.update((report.ratio.denominator, report.optimum.denominator))
+    assert small >= 20
+    assert {3, 7, 97} <= {p for d in denominators for p in (3, 7, 97) if d % p == 0}
+
+
+def _fresh(tree):
+    return MechanismTree(setting=tree.setting, nodes=tree.nodes, root=tree.root)
+
+
+def test_utility_table_follows_the_domain():
+    """One tree checked against two domains in alternation: each call gives
+    that domain's own verdicts and ratio, as on a tree that never saw the
+    other domain."""
+    rng = random.Random(77)
+    dom = adversarial_domain(MU22, "mu-single-minded")
+    bundles = [random_instance(rng, levels=MIXED_LEVELS, pay_levels=MIXED_LEVELS)
+               for _ in range(40)]
+    bundles += [grand_bundle_ascending(MU22, 16, domain=dom), first_price_bundle(3)]
+    checks = (check_osp, check_dsic, check_ir, check_nnt, welfare_ratio,
+              scan_bad_leaf_good_leaf)
+    differ = 0
+    for bundle in bundles:
+        tree, strategies, full = bundle.checker_args()
+        last = tuple(vs[-1:] for vs in full.players)
+        domains = [full, Domain(setting=tree.setting, players=last), last]
+        expected = [[repr(chk(_fresh(tree), strategies, d)) for chk in checks] for d in domains]
+        differ += expected[0] != expected[1]
+        for d, want in [*zip(domains, expected)] * 2:
+            assert [repr(chk(tree, strategies, d)) for chk in checks] == want
+    assert differ >= 10
+
+
+def test_checkers_evaluate_once_per_player_valuation_bundle(monkeypatch):
+    """Over every checker on the K=16 adversarial clock, each valuation is
+    evaluated at most once per player holding it and bundle, however many
+    leaves and profiles there are."""
+    dom = adversarial_domain(MU22, "mu-single-minded")
+    gb = grand_bundle_ascending(MU22, 16, domain=dom)
+    calls = collections.Counter()
+
+    def counted(valuation, bundle):
+        calls[valuation, bundle] += 1
+        return evaluate(valuation, bundle)
+
+    monkeypatch.setattr(checkers, "evaluate", counted)
+    args = gb.checker_args()
+    for chk in (check_osp, check_dsic, check_ir, check_nnt, welfare_ratio,
+                scan_bad_leaf_good_leaf, first_divergence, mu_payment_bounds):
+        chk(*args)
+    holders = collections.Counter(v for vs in dom.players for v in set(vs))
+    assert len(gb.tree.leaf_ids) * len(dom.players[0]) > sum(holders.values()) * (MU22.m + 1)
+    assert 0 < sum(calls.values()) <= sum(holders.values()) * (MU22.m + 1)
+    assert all(count <= holders[v] for (v, _), count in calls.items())

@@ -1,5 +1,6 @@
 """Valuation families, adversarial fixtures, restricted domains."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from ospcheck import (
     make_valuation,
     restricted_additive_domain,
 )
+from ospcheck.valuations import FAMILIES
 
 CA22 = AuctionSetting(kind="combinatorial", n=2, m=2)
 MU22 = AuctionSetting(kind="multi-unit", n=2, m=2)
@@ -184,6 +186,25 @@ def test_evaluate_monotone_every_family():
               GeneralMU(values=(Fraction(0), Fraction(1), Fraction(1), Fraction(4), Fraction(4)))):
         for q in range(mu.m):
             assert evaluate(v, q + 1) >= evaluate(v, q)
+
+
+def test_hash_is_the_field_tuple_hash():
+    """Each family returns the hash stored at construction: the hash of its
+    field tuple, as the dataclass would compute it, read from any input."""
+    fams = [
+        AdditiveValuation(values=(1, "1/3")),
+        UnitDemandValuation(values=(Fraction(2, 7), 1)),
+        SingleMindedCA(bundle=[0, 1], value="5/97"),
+        SingleMindedMU(quantity=2, value=3),
+        GeneralCA(values=(0, "1/3", 1, 2)),
+        GeneralMU(values=(0, Fraction(3, 97), 1)),
+    ]
+    assert {type(v) for v in fams} == set(FAMILIES.values())
+    for v in fams:
+        fields = tuple(getattr(v, f.name) for f in dataclasses.fields(v))
+        assert hash(v) == hash(fields)
+        twin = dataclasses.replace(v)
+        assert twin == v and hash(twin) == hash(v)
 
 
 @settings(max_examples=60, deadline=None)
