@@ -66,7 +66,6 @@ from .search import (
     SearchSpace,
     SearchVerdict,
     default_payment_grid,
-    enumerate_normalized_mechanisms,
     falsify_impossibility,
 )
 

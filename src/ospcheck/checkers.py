@@ -104,37 +104,57 @@ def _realized(tree: MechanismTree, strategies: Sequence, domain):
         yield profile, behaviors, leaf_id, path
 
 
+def scaled_values(setting: AuctionSetting, players, payments) -> tuple:
+    """``(allocations, scale, values)``: every value a player's valuations take
+    on the bundles of the valid allocations, as exact integers.
+
+    ``allocations`` are the valid allocations in ``enumerate_allocations``
+    order.  ``scale`` is the lcm of the denominators of those values and of
+    ``payments``; a rational ``x`` among them is stored as ``x.numerator *
+    (scale // x.denominator)``, and ``Fraction(x, scale)`` gives it back.
+    ``values[i][bundle]`` is player i's row of scaled values for ``bundle``,
+    one per valuation.
+    """
+    allocations = tuple(enumerate_allocations(setting))
+    raw = [
+        {b: [evaluate(v, b) for v in vs] for b in {a[i] for a in allocations}}
+        for i, vs in enumerate(players)
+    ]
+    denominators = {x.denominator for rows in raw for row in rows.values() for x in row}
+    denominators.update(p.denominator for p in payments)
+    scale = lcm(*denominators)
+    values = [
+        {b: [x.numerator * (scale // x.denominator) for x in row] for b, row in rows.items()}
+        for rows in raw
+    ]
+    return allocations, scale, values
+
+
+def welfare_optima(rows, sizes):
+    """Per profile of valuation indices, in product order over ``sizes``, the
+    largest summed scaled value over the allocations: ``rows[a][i]`` is player
+    i's row of values (``scaled_values``) for her bundle in allocation a."""
+    for vis in itertools.product(*map(range, sizes)):
+        yield max(sum(row[vi] for row, vi in zip(alloc, vis)) for alloc in rows)
+
+
 class _Table:
     """Every utility and value the checkers compare, as exact integers.
 
-    ``scale`` is the lcm of the denominators of every leaf payment and of
-    every value a player's valuations take on each bundle she gets at a leaf
-    or in a valid allocation.  A rational ``x`` among these is stored as
-    ``x.numerator * (scale // x.denominator)``, and ``Fraction(u, scale)``
-    gives it back.  ``utils[i][vi]`` maps each leaf id to player i's scaled
-    utility there under her vi-th valuation; ``values[i][bundle]`` is her row
-    of scaled values for that bundle, one per valuation.
+    ``allocations``, ``scale`` and ``values`` are those of ``scaled_values``
+    with the leaf payments; a leaf's allocation is valid, so its bundles are
+    among those of ``values``.  ``utils[i][vi]`` maps each leaf id to player
+    i's scaled utility there under her vi-th valuation.
     """
 
     def __init__(self, tree: MechanismTree, players):
         leaves = [tree.nodes[lid] for lid in tree.leaf_ids]
-        self.allocations = tuple(enumerate_allocations(tree.setting))
-        raw = []
-        for i, vs in enumerate(players):
-            bundles = {leaf.allocation[i] for leaf in leaves}
-            bundles.update(a[i] for a in self.allocations)
-            raw.append({b: [evaluate(v, b) for v in vs] for b in bundles})
-        denominators = {x.denominator for rows in raw for row in rows.values() for x in row}
-        denominators.update(p.denominator for leaf in leaves for p in leaf.payments)
-        scale = self.scale = lcm(*denominators)
-        self.values = [
-            {b: [x.numerator * (scale // x.denominator) for x in row] for b, row in rows.items()}
-            for rows in raw
-        ]
+        payments = (p for leaf in leaves for p in leaf.payments)
+        self.allocations, self.scale, self.values = scaled_values(tree.setting, players, payments)
         self.utils = [[{} for _ in vs] for vs in players]
         for lid, leaf in zip(tree.leaf_ids, leaves):
             for i, (b, p) in enumerate(zip(leaf.allocation, leaf.payments)):
-                pay = p.numerator * (scale // p.denominator)
+                pay = p.numerator * (self.scale // p.denominator)
                 for u, x in zip(self.utils[i], self.values[i][b]):
                     u[lid] = x - pay
 
@@ -266,6 +286,31 @@ def _profile_through(tree: MechanismTree, paths, fixed=None) -> tuple:
     return tuple(profile)
 
 
+def _osp_violation(tree: MechanismTree, player: int, behavior: Behavior, u: dict):
+    """The first of the player's attainable vertices, in ``nodes_of`` order, where
+    following ``behavior`` is not obviously dominant for utilities ``u``, as
+    ``(vertex, own_label, worst, worst_leaf, best, best_leaf, best_label)``; None
+    when there is none."""
+    reach = set(_consistent_reach(tree, player, behavior))
+    fmin, amax = _osp_stats(tree, player, behavior, u)
+    for nid in tree.nodes_of(player):
+        node = tree.nodes[nid]
+        if nid not in reach or len(node.edges) < 2:
+            continue
+        own_label = behavior.choices[nid]
+        worst, worst_leaf = fmin[node.edges[own_label]]
+        best, best_leaf, best_label = None, None, None
+        for lbl, child in node.edges.items():
+            if lbl == own_label:
+                continue
+            m, ml = amax[child]
+            if best is None or m > best:
+                best, best_leaf, best_label = m, ml, lbl
+        if best is not None and worst < best:
+            return nid, own_label, worst, worst_leaf, best, best_leaf, best_label
+    return None
+
+
 def check_osp(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     """Obvious dominance of the given strategies over the domain.
 
@@ -278,38 +323,24 @@ def check_osp(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     for i in range(tree.setting.n):
         for v, u in zip(_players(domain)[i], table.utils[i]):
             behavior = strategies[i][v]
-            reach = set(_consistent_reach(tree, i, behavior))
-            fmin, amax = _osp_stats(tree, i, behavior, u)
-            for nid in tree.nodes_of(i):
-                node = tree.nodes[nid]
-                if nid not in reach or len(node.edges) < 2:
-                    continue
-                own_label = behavior.choices[nid]
-                worst, worst_leaf = fmin[node.edges[own_label]]
-                best, best_leaf, best_label = None, None, None
-                for lbl, child in node.edges.items():
-                    if lbl == own_label:
-                        continue
-                    m, ml = amax[child]
-                    if best is None or m > best:
-                        best, best_leaf, best_label = m, ml, lbl
-                if best is not None and worst < best:
-                    bad = _profile_through(tree, [tree.path_to(worst_leaf)], fixed=behavior)
-                    good = _profile_through(
-                        tree, [tree.path_to(nid), tree.path_to(best_leaf)]
-                    )
-                    return Verdict(
-                        "osp",
-                        False,
-                        Witness(
-                            player=i, vertex=nid, valuation=v,
-                            behaviors=bad, alt_behaviors=good,
-                            leaf=worst_leaf, alt_leaf=best_leaf,
-                            utility=table.exact(worst), alt_utility=table.exact(best),
-                            note=f"following sends {own_label!r}, deviating to "
-                                 f"{best_label!r} can end strictly better",
-                        ),
-                    )
+            found = _osp_violation(tree, i, behavior, u)
+            if found is None:
+                continue
+            nid, own_label, worst, worst_leaf, best, best_leaf, best_label = found
+            bad = _profile_through(tree, [tree.path_to(worst_leaf)], fixed=behavior)
+            good = _profile_through(tree, [tree.path_to(nid), tree.path_to(best_leaf)])
+            return Verdict(
+                "osp",
+                False,
+                Witness(
+                    player=i, vertex=nid, valuation=v,
+                    behaviors=bad, alt_behaviors=good,
+                    leaf=worst_leaf, alt_leaf=best_leaf,
+                    utility=table.exact(worst), alt_utility=table.exact(best),
+                    note=f"following sends {own_label!r}, deviating to "
+                         f"{best_label!r} can end strictly better",
+                ),
+            )
     return Verdict("osp", True)
 
 
@@ -324,15 +355,19 @@ def check_dsic(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
 
     Opponents range over all contingent behaviors, so the two sides of a
     split vertex are chosen independently and the verdict is that of
-    :func:`check_osp`: a pair (own leaf, vertex, better off-path leaf) is an
-    OSP violation at the vertex and conversely; only witnesses differ.  This
-    is not the DSIC over opponents' valuations under which VCG is dominant;
-    switching to that notion would change verdicts and is not done here.
+    :func:`check_osp`, per player and valuation: a pair (own leaf, vertex,
+    better off-path leaf) is an OSP violation at the vertex and conversely;
+    only witnesses differ.  So the pairs are scanned only for a player and
+    valuation that ``_osp_violation`` flags.  This is not the DSIC over
+    opponents' valuations under which VCG is dominant; switching to that
+    notion would change verdicts and is not done here.
     """
     table = _table(tree, domain)
     for i in range(tree.setting.n):
         for v, u in zip(_players(domain)[i], table.utils[i]):
             behavior = strategies[i][v]
+            if _osp_violation(tree, i, behavior, u) is None:
+                continue
             reach = _consistent_reach(tree, i, behavior)
             own_leaves = [nid for nid in reach if isinstance(tree.nodes[nid], Leaf)]
             for leaf_id in own_leaves:
@@ -406,13 +441,14 @@ def welfare_ratio(tree: MechanismTree, strategies: Sequence, domain) -> RatioRep
     unbounded and dominates every finite ratio.
     """
     table = _table(tree, domain)
+    sizes = [len(vs) for vs in _players(domain)]
     rows = [[table.values[i][b] for i, b in enumerate(a)] for a in table.allocations]
-    indices = itertools.product(*(range(len(vs)) for vs in _players(domain)))
+    optima = welfare_optima(rows, sizes)
+    indices = itertools.product(*map(range, sizes))
     worst = None  # (ratio, profile, sw, opt)
-    for vis, (profile, _, leaf_id, _) in zip(indices, _realized(tree, strategies, domain)):
+    for vis, opt, (profile, _, leaf_id, _) in zip(indices, optima, _realized(tree, strategies, domain)):
         leaf = tree.nodes[leaf_id]
         sw = sum(table.values[i][b][vi] for i, (b, vi) in enumerate(zip(leaf.allocation, vis)))
-        opt = max(sum(row[vi] for row, vi in zip(alloc, vis)) for alloc in rows)
         if sw:
             ratio = Fraction(opt, sw)
         elif opt:

@@ -323,7 +323,9 @@ def build_tree(spec, setting: AuctionSetting) -> MechanismTree:
     ``edges`` mapping each label to a child description, leaf
     ``{"allocation", "payments"}``, both with an optional ``"id"``.  Ids
     and edge labels are strings.  A missing or unreadable field raises
-    MechanismError naming it.  Edge maps
+    MechanismError naming it, and so does an edge map whose ``duplicates``
+    attribute (the parser's record of keys its source repeats) is nonempty,
+    with the path of labels to the node.  Edge maps
     are canonicalized to lexicographic label order and unnamed nodes get
     stable preorder ids ``#0, #1, ...``, so rebuilding a serialized tree
     reproduces the same ids.
@@ -332,7 +334,8 @@ def build_tree(spec, setting: AuctionSetting) -> MechanismTree:
 
     read_allocation = read_list(read_items if setting.is_combinatorial else read_int)
 
-    def add_node(raw) -> str:
+    def add_node(raw, trail=None) -> str:
+        # trail: (parent trail, label into this node), None at the root
         if not isinstance(raw, dict):
             raise MechanismError(f"node description must be a mapping, got {type(raw).__name__}")
         given = raw.get("id")
@@ -350,6 +353,11 @@ def build_tree(spec, setting: AuctionSetting) -> MechanismTree:
             edges_raw = raw.get("edges")
             if not isinstance(edges_raw, dict) or not edges_raw:
                 raise MechanismError(f"internal node {nid!r} needs a nonempty edge map")
+            duplicates = getattr(edges_raw, "duplicates", ())
+            if duplicates:
+                raise MechanismError(
+                    f"duplicate message label {duplicates[0]!r} at node {_label_path(trail)}"
+                )
             for lbl in edges_raw:
                 if not isinstance(lbl, str):
                     # a file holds every label as a string, so this one
@@ -358,7 +366,7 @@ def build_tree(spec, setting: AuctionSetting) -> MechanismTree:
                         raise MechanismError(f"duplicate message label at node {nid!r}")
                     raise MechanismError(f"{where}: message label {lbl!r} is not a string")
             speaker = read_field(raw, "speaker", read_int, where)
-            edges = {lbl: add_node(edges_raw[lbl]) for lbl in sorted(edges_raw)}
+            edges = {lbl: add_node(edges_raw[lbl], (trail, lbl)) for lbl in sorted(edges_raw)}
             nodes[nid] = InternalNode(speaker=speaker, edges=edges)
         else:
             nodes[nid] = Leaf(
@@ -368,6 +376,15 @@ def build_tree(spec, setting: AuctionSetting) -> MechanismTree:
         return nid
 
     return MechanismTree(setting=setting, nodes=nodes, root=add_node(spec))
+
+
+def _label_path(trail) -> str:
+    """``/a/b`` for the labels of a ``build_tree`` trail, ``/`` at the root."""
+    labels = []
+    while trail is not None:
+        trail, label = trail
+        labels.append(label)
+    return "".join("/" + label for label in reversed(labels)) or "/"
 
 
 def run(tree: MechanismTree, profile: Sequence[Behavior]):

@@ -26,7 +26,7 @@ than an explicit ``max_depth`` below that bound, and valuations outside the
 domain supplied.
 
 ``falsify_impossibility`` counts the class by equivalence class instead of
-building its members (``_Aggregator``).  Leaves whose payments would break
+building its members (``_Scan``).  Leaves whose payments would break
 individual rationality or charge a negative payment on a profile reaching
 them are never generated.  Bottom-up over positions (the players'
 consistent sets), every subtree is summarized by the utilities that the
@@ -59,21 +59,34 @@ Three reductions keep the join small:
   summed count and the first prefix, in stream order.
 
 The scan judges a tree by four flags, read from one predicate table that
-``_Engine`` builds for the target of the call: per allocation, the profiles
+``_Scan`` builds for the target of the call: per allocation, the profiles
 where it beats the target ratio and those where it beats min(m, n), plus
 the two profiles of the payment-bound audit.  A leaf's flags come from the
-profiles it covers (``_Engine.leaf_flags``), and a tree's are its leaves'
+profiles it covers (``_Scan.leaf_flags``), and a tree's are its leaves'
 flags folded by ``_fold_flags``; a tree's leaves cover disjoint profile sets
 whose union is every profile reaching the tree, so the fold is the verdict
 over those profiles.
 
+Stream order is that of a depth-first walk of the class.  At a position
+and a remaining depth it first lists every leaf: the valid allocations in
+``enumerate_allocations`` order, each with every grid payment vector in
+product order.  Then, if depth remains, for each player in index order whose
+consistent set holds two or more valuations, and for each partition of that
+set into two or more blocks (restricted-growth strings in lexicographic
+order, blocks ordered by their smallest valuation), it lists every choice
+of one subtree per block, the first block's subtree varying slowest, each
+at the position where that player's set is the block, one level deeper.
+Block t is sent as message ``str(t)``, node ids ``u0, u1, ...`` follow
+preorder, and a plan sends the label of the block holding its valuation,
+else ``"0"``.
+
 Classes are kept in first-encounter order, so the stored representative of
 each class is its first member in stream order, and the first counterexample
-is the first member of ``enumerate_normalized_mechanisms`` that the OSP, IR
-and NNT checkers pass and ``welfare_ratio`` puts below the target.  That
-stream is kept as the reference only: ``oracle_scan`` in the tests builds
-every member and judges it with the checkers alone, sharing nothing with the
-predicate table, and the tests compare its verdicts with this scan's.
+is the first stream member that the OSP, IR and NNT checkers pass and
+``welfare_ratio`` puts below the target.  The library does not build the
+stream: the tests walk it on their own (``normalized_stream``), judge every
+member with the checkers alone (``oracle_scan``), and compare those verdicts
+with this scan's.
 """
 
 from __future__ import annotations
@@ -84,13 +97,12 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, Optional
 
-from .checkers import _mu_fixture_profiles, enumerate_allocations, opt_welfare
+from .checkers import _mu_fixture_profiles, scaled_values, welfare_optima
 from .mechanisms import MechanismBundle
 from .model import Behavior, InternalNode, Leaf, MechanismTree
-from .valuations import Domain, evaluate
+from .valuations import Domain
 
 GRID_CAVEAT = (
     "verdict is relative to the declared normalized class and its finite payment "
@@ -147,6 +159,14 @@ class SearchSpace:
 
 @dataclass
 class SearchVerdict:
+    """What ``falsify_impossibility`` found.
+
+    ``examined`` equals ``survivors`` in both modes: the number of class
+    members that pass OSP, IR and NNT, or with ``audit_survivors=False``
+    the number of those that also beat the target.  Both are 0 on
+    ``budget-exhausted``.
+    """
+
     outcome: str  # "no-counterexample" | "counterexample" | "budget-exhausted"
     counterexample: Optional[MechanismBundle]
     examined: int
@@ -184,65 +204,85 @@ def _partitions(elements: tuple) -> list:
     return out
 
 
-class _Engine:
-    """Scaled integer tables of one search space; with a target ratio, also
-    the predicate table the scan judges trees by."""
+class _BudgetExceeded(Exception):
+    pass
 
-    def __init__(self, space: SearchSpace, target: Optional[Fraction] = None):
+
+class _Scan:
+    """The aggregated scan of one search space for one target ratio.
+
+    Counts surviving mechanisms by equivalence class instead of one by one.
+    Two subtrees over the same consistent sets are interchangeable when they
+    share (a) the per-valuation min-realized / max-anywhere utility vectors
+    that the obvious strategy-proofness join compares, and (b) their four
+    flags from ``leaf_flags``.  Both the sibling join and the final verdict
+    depend only on those, and the covered profile sets of siblings are
+    disjoint, so classes compose: the count of a joined class is the
+    product of its parts, its rows are their elementwise (min rmin, max
+    emax), and its flags are their ``_fold_flags``.  One first-encountered
+    descriptor per class is kept so a counterexample can still be
+    materialized.
+
+    Values and payments are integers over the common denominator ``scale``
+    of ``checkers.scaled_values`` with the payment grid; ``rows[ai][i]`` is
+    player i's row of values for her bundle in the ai-th allocation.
+
+    Class entry layout: (summary, flags, count, descriptor) where summary is
+    a per-player tuple of rows and flags is (beats_target, beats_minmn,
+    low_bound_violation, square_bound_violation).  A player's row holds one
+    (rmin, emax) pair per valuation, except that it is empty while the
+    player's consistent set is still full: such a player has not spoken on
+    the path from the root, so no ancestor ever compares that row.
+
+    Each memo entry is (classes, join_index, row_ids).  join_index maps a
+    speaker to the bitset tables ``_combine`` uses when that list is joined
+    as a child of a node where the speaker speaks; row_ids gives each class's
+    summary as ids of interned rows, so the join hashes and folds small ints.
+    Counts are Python ints: they pass 2**63 on 5 x 5 domains.
+    """
+
+    def __init__(self, space: SearchSpace, target: Fraction, deadline=None,
+                 beating_only: bool = False):
         self.space = space
-        domain = space.domain
-        self.setting = domain.setting
-        self.players = domain.players
+        self.setting = space.domain.setting
+        self.players = space.domain.players
         self.n = self.setting.n
         self.sizes = [len(vs) for vs in self.players]
-        self.allocations = list(enumerate_allocations(self.setting))
+        self.full = tuple((1 << c) - 1 for c in self.sizes)
+        self.deadline = deadline
+        self.beating_only = beating_only
 
-        denoms = [p.denominator for p in space.payment_grid]
-        values: dict = {}
-        for i, vs in enumerate(self.players):
-            for vi, v in enumerate(vs):
-                for ai, alloc in enumerate(self.allocations):
-                    x = evaluate(v, alloc[i])
-                    values[(i, vi, ai)] = x
-                    denoms.append(x.denominator)
-        self.scale = lcm(*denoms)
-        self.val = {
-            key: int(x * self.scale) for key, x in values.items()
-        }
-        self.grid = [int(p * self.scale) for p in space.payment_grid]
-
+        self.allocations, self.scale, values = scaled_values(
+            self.setting, self.players, space.payment_grid
+        )
+        self.rows = [[values[i][b] for i, b in enumerate(a)] for a in self.allocations]
+        self.grid = [p.numerator * (self.scale // p.denominator) for p in space.payment_grid]
         # profile indexing, row-major over player valuation indices
         self.strides = [0] * self.n
         stride = 1
         for i in reversed(range(self.n)):
             self.strides[i] = stride
             stride *= self.sizes[i]
+        self._build_predicates(target)
 
-        # every leaf of the class, as the member-by-member stream walks them
-        self.leaves = [
-            (ai, pays)
-            for ai in range(len(self.allocations))
-            for pays in itertools.product(self.grid, repeat=self.n)
-        ]
         self._leaf_cache: dict = {}
         self._covered_cache: dict = {}
         self._partition_cache: dict = {}
-        if target is not None:
-            self._build_predicates(target)
+        self.memo: dict = {}
+        self.work = 0
+        self.row_ids: dict = {}
+        self.row_of: list = []
+        self.fold_rows = functools.cache(self._fold_rows)
+        self.fold_flags = functools.cache(lambda a, b: _fold_flags((a, b)))
 
     def _build_predicates(self, target: Fraction) -> None:
         """Per allocation, bitsets of the profiles where its ratio misses the
         target and where it misses min(m, n); the audit profiles' bits."""
-        opt = [
-            int(opt_welfare(profile, self.setting)[0] * self.scale)
-            for profile in itertools.product(*self.players)
-        ]
+        opt = list(welfare_optima(self.rows, self.sizes))
         sw = [
-            [
-                sum(self.val[(i, pv[i], ai)] for i in range(self.n))
-                for pv in itertools.product(*(range(c) for c in self.sizes))
-            ]
-            for ai in range(len(self.allocations))
+            [sum(row[vi] for row, vi in zip(rows, pv))
+             for pv in itertools.product(*map(range, self.sizes))]
+            for rows in self.rows
         ]
 
         def misses(num: int, den: int) -> list:
@@ -306,14 +346,10 @@ class _Engine:
         got = self._leaf_cache.get(masks)
         if got is None:
             got = []
-            for ai in range(len(self.allocations)):
+            for ai, rows in enumerate(self.rows):
                 per_player = []
-                for i, mask in enumerate(masks):
-                    cap = min(
-                        self.val[(i, vi, ai)]
-                        for vi in range(self.sizes[i])
-                        if mask >> vi & 1
-                    )
+                for mask, row in zip(masks, rows):
+                    cap = min(x for vi, x in enumerate(row) if mask >> vi & 1)
                     per_player.append([p for p in self.grid if 0 <= p <= cap])
                 for pays in itertools.product(*per_player):
                     got.append((ai, pays))
@@ -331,32 +367,6 @@ class _Engine:
             ]
             self._partition_cache[mask] = got
         return got
-
-    # -- enumeration ------------------------------------------------------
-
-    def subtrees(self, masks: tuple, depth: int) -> Iterator[tuple]:
-        """Yield a descriptor for every complete subtree at this position."""
-        for ai, pays in self.leaves:
-            yield ("leaf", ai, pays)
-        if depth < 1:
-            return
-        for j in range(self.n):
-            if bin(masks[j]).count("1") < 2:
-                continue
-            for blocks in self._mask_partitions(masks[j]):
-                for subs in self._children(j, blocks, 0, masks, depth):
-                    yield ("node", j, blocks, subs)
-
-    def _children(self, j: int, blocks: tuple, t: int, masks: tuple,
-                  depth: int) -> Iterator[tuple]:
-        """Every choice of subtrees for ``blocks[t:]``, in stream order."""
-        if t == len(blocks):
-            yield ()
-            return
-        child_masks = masks[:j] + (blocks[t],) + masks[j + 1:]
-        for sub in self.subtrees(child_masks, depth - 1):
-            for rest in self._children(j, blocks, t + 1, masks, depth):
-                yield (sub,) + rest
 
     # -- materialization ---------------------------------------------------
 
@@ -388,7 +398,7 @@ class _Engine:
             nodes[nid] = InternalNode(speaker=j, edges=dict(sorted(edges.items())))
             return nid
 
-        root = add(descriptor, self.root_masks())
+        root = add(descriptor, self.full)
         tree = MechanismTree(setting=self.setting, nodes=nodes, root=root)
         strategies = tuple(
             {
@@ -399,60 +409,7 @@ class _Engine:
         )
         return MechanismBundle(tree=tree, strategies=strategies, domain=self.space.domain)
 
-    def root_masks(self) -> tuple:
-        return tuple((1 << c) - 1 for c in self.sizes)
-
-
-def enumerate_normalized_mechanisms(space: SearchSpace) -> Iterator[MechanismBundle]:
-    """Stream every mechanism of the class in deterministic order."""
-    engine = _Engine(space)
-    for descriptor in engine.subtrees(engine.root_masks(), space.max_depth):
-        yield engine.materialize(descriptor)
-
-
-class _BudgetExceeded(Exception):
-    pass
-
-
-class _Aggregator:
-    """Counts surviving mechanisms by equivalence class instead of one by one.
-
-    Two subtrees over the same consistent sets are interchangeable when they
-    share (a) the per-valuation min-realized / max-anywhere utility vectors
-    that the obvious strategy-proofness join compares, and (b) their four
-    flags from ``_Engine.leaf_flags``.  Both the sibling join and the final
-    verdict depend only on those, and the covered profile sets of siblings
-    are disjoint, so classes compose: the count of a joined class is the
-    product of its parts, its rows are their elementwise (min rmin, max
-    emax), and its flags are their ``_fold_flags``.  One first-encountered
-    descriptor per class is kept so a counterexample can still be
-    materialized.
-
-    Class entry layout: (summary, flags, count, descriptor) where summary is
-    a per-player tuple of rows and flags is (beats_target, beats_minmn,
-    low_bound_violation, square_bound_violation).  A player's row holds one
-    (rmin, emax) pair per valuation, except that it is empty while the
-    player's consistent set is still full: such a player has not spoken on
-    the path from the root, so no ancestor ever compares that row.
-
-    Each memo entry is (classes, join_index, row_ids).  join_index maps a
-    speaker to the bitset tables ``_combine`` uses when that list is joined
-    as a child of a node where the speaker speaks; row_ids gives each class's
-    summary as ids of interned rows, so the join hashes and folds small ints.
-    Counts are Python ints: they pass 2**63 on 5 x 5 domains.
-    """
-
-    def __init__(self, engine: _Engine, deadline=None, beating_only: bool = False):
-        self.e = engine
-        self.deadline = deadline
-        self.beating_only = beating_only
-        self.full = engine.root_masks()
-        self.memo: dict = {}
-        self.work = 0
-        self.row_ids: dict = {}
-        self.row_of: list = []
-        self.fold_rows = functools.cache(self._fold_rows)
-        self.fold_flags = functools.cache(lambda a, b: _fold_flags((a, b)))
+    # -- composition ------------------------------------------------------
 
     def _tick(self, steps: int) -> None:
         """Count leaves or join extensions; check the deadline every 4096."""
@@ -462,12 +419,10 @@ class _Aggregator:
                 raise _BudgetExceeded
 
     def _leaf_summary(self, masks: tuple, ai: int, pays: tuple) -> tuple:
-        e = self.e
-        utilities = [[e.val[(j, vi, ai)] - pays[j] for vi in range(e.sizes[j])] for j in range(e.n)]
         return tuple(
-            () if masks[j] == self.full[j]
-            else tuple((u if masks[j] >> vi & 1 else _BIG, u) for vi, u in enumerate(utilities[j]))
-            for j in range(e.n)
+            () if mask == full
+            else tuple((u if mask >> vi & 1 else _BIG, u) for vi, u in enumerate(x - pay for x in row))
+            for mask, full, row, pay in zip(masks, self.full, self.rows[ai], pays)
         )
 
     def _row_id(self, row: tuple) -> int:
@@ -484,8 +439,6 @@ class _Aggregator:
             for (r, e), (s, f) in zip(self.row_of[a], self.row_of[b])
         ))
 
-    # -- composition ------------------------------------------------------
-
     def classes(self, masks: tuple, depth: int) -> tuple:
         """Memo entry (classes, join_index, row_ids) for every subtree at ``masks``."""
         # beyond full refinement of every consistent set, extra depth adds
@@ -497,7 +450,6 @@ class _Aggregator:
             return got
         if self.deadline is not None and time.monotonic() >= self.deadline:
             raise _BudgetExceeded
-        e = self.e
         table: dict = {}
 
         def insert(summary, flags, count, desc) -> None:
@@ -507,16 +459,16 @@ class _Aggregator:
             else:
                 entry[2] += count
 
-        for ai, pays in e._leaf_options(masks):
+        for ai, pays in self._leaf_options(masks):
             self._tick(1)
-            flags = e.leaf_flags(masks, ai, pays)
+            flags = self.leaf_flags(masks, ai, pays)
             if not self.beating_only or flags[0]:
                 insert(self._leaf_summary(masks, ai, pays), flags, 1, ("leaf", ai, pays))
         if depth >= 1:
-            for j in range(e.n):
+            for j in range(self.n):
                 if bin(masks[j]).count("1") < 2:
                     continue
-                for blocks in e._mask_partitions(masks[j]):
+                for blocks in self._mask_partitions(masks[j]):
                     children = [
                         self.classes(masks[:j] + (block,) + masks[j + 1:], depth - 1)
                         for block in blocks
@@ -535,7 +487,7 @@ class _Aggregator:
         classes, join_index, _ = child
         got = join_index.get(j)
         if got is None:
-            valuations = range(self.e.sizes[j])
+            valuations = range(self.sizes[j])
             got = join_index[j] = (
                 [_threshold_table([c[0][j][vi][1] for c in classes]) for vi in valuations],
                 [_threshold_table([-c[0][j][vi][0] for c in classes]) for vi in valuations],
@@ -559,7 +511,7 @@ class _Aggregator:
         earliest group reaching it): the depth-first stream's order.
         """
         indexes = [self._join_index(child, j) for child in children]
-        members = [[vi for vi in range(self.e.sizes[j]) if b >> vi & 1] for b in blocks]
+        members = [[vi for vi in range(self.sizes[j]) if b >> vi & 1] for b in blocks]
         row_of, fold_rows, fold_flags = self.row_of, self.fold_rows, self.fold_flags
         groups = [(rows, c[1], c[2], (c[3],)) for c, rows in zip(children[0][0], children[0][2])]
         for t in range(1, len(blocks)):
@@ -650,24 +602,25 @@ def falsify_impossibility(
     profile pays at most the square threshold.
 
     The scan aggregates interchangeable subtrees and counts them in bulk.
-    It keeps stream order, so its outcome, totals and first counterexample
-    are those of building every member of ``enumerate_normalized_mechanisms``
-    and judging it with the property checkers, as the tests' ``oracle_scan``
-    does.  ``audit_survivors=False`` restricts the aggregation to
-    target-beating subtrees only: much faster, same outcome and
-    counterexample, but the survivor totals and payment audit are not
-    collected (examined then counts candidate counterexamples only).
+    It keeps the order of the depth-first walk the module docstring defines,
+    so its outcome, totals and first counterexample are those of building
+    every member of the class in that order and judging it with the property
+    checkers, as the tests' ``oracle_scan`` does.  ``audit_survivors=False``
+    restricts the aggregation to target-beating subtrees only: much faster,
+    same outcome and counterexample, but the survivor totals and payment
+    audit are not collected (examined then counts candidate counterexamples
+    only).
     """
     target = Fraction(target_ratio)
     if target <= 1:
         raise ValueError("target ratio must exceed 1")
     if budget_seconds is not None and not budget_seconds >= 0:
         raise ValueError(f"time budget must be a nonnegative number, got {budget_seconds!r}")
-    engine = _Engine(space, target)
     start = time.monotonic()
     deadline = None if budget_seconds is None else start + budget_seconds
+    scan = _Scan(space, target, deadline, beating_only=not audit_survivors)
     audit = {
-        "applicable": engine.audit_applicable and audit_survivors,
+        "applicable": scan.audit_applicable and audit_survivors,
         "survivors_checked": 0,
         "low_profile_bound_failures": 0,
         "square_bound_premise_met": 0,
@@ -675,9 +628,8 @@ def falsify_impossibility(
     }
     examined = 0
     counterexample = None
-    agg = _Aggregator(engine, deadline, beating_only=not audit_survivors)
     try:
-        root, _, _ = agg.classes(engine.root_masks(), space.max_depth)
+        root, _, _ = scan.classes(scan.full, space.max_depth)
     except _BudgetExceeded:
         outcome = "budget-exhausted"
     else:
@@ -689,7 +641,7 @@ def falsify_impossibility(
                 audit["square_bound_premise_met"] += count * beats_minmn
                 audit["square_bound_failures"] += count * (beats_minmn and square_viol)
             if beats_target and counterexample is None:
-                counterexample = engine.materialize(desc)
+                counterexample = scan.materialize(desc)
         outcome = "no-counterexample" if counterexample is None else "counterexample"
     return SearchVerdict(
         outcome=outcome,

@@ -13,7 +13,8 @@ floats and are written once per command.
 
 Loading builds plain dicts and checks each object's key count against its
 source pairs; only an object whose source repeats a key records which
-keys repeat, so a duplicate message label is still an error.
+keys repeat, and ``build_tree`` rejects an edge map holding such a record,
+so a duplicate message label is still an error.
 """
 
 from __future__ import annotations
@@ -202,19 +203,6 @@ def _object(pairs) -> dict:
     return obj if len(obj) == len(pairs) else _TrackedDict(pairs)
 
 
-def _check_labels(raw, path: str) -> None:
-    if not isinstance(raw, dict):
-        raise ParseError(f"node at {path or '/'} must be an object")
-    if "edges" in raw or "speaker" in raw:
-        edges = raw.get("edges")
-        if not isinstance(edges, dict):
-            raise ParseError(f"node at {path or '/'} needs an edge object")
-        for dup in getattr(edges, "duplicates", ()):
-            raise ParseError(f"duplicate message label {dup!r} at node {path or '/'}")
-        for lbl, child in edges.items():
-            _check_labels(child, f"{path}/{lbl}")
-
-
 def _load_json(data):
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -233,11 +221,9 @@ def parse_mechanism(data):
     if not isinstance(doc, dict) or doc.get("format") != MECHANISM_FORMAT:
         raise ParseError(f"not a mechanism file (format must be {MECHANISM_FORMAT!r})")
     setting = setting_from_json(doc.get("setting", {}))
-    root = doc.get("root")
-    _check_labels(root, "")
     raw_strategies = doc.get("strategies")
     try:
-        tree = build_tree(root, setting)
+        tree = build_tree(doc.get("root"), setting)
         if raw_strategies is None:
             return tree
         if not isinstance(raw_strategies, list) or len(raw_strategies) != setting.n:

@@ -20,21 +20,22 @@ from ospcheck import (
     GeneralCA,
     GeneralMU,
     Domain,
+    InternalNode,
     Leaf,
     MechanismBundle,
+    MechanismTree,
     build_tree,
     bundle_contains,
     check_ir,
     check_nnt,
     check_osp,
-    enumerate_normalized_mechanisms,
     evaluate,
     mu_payment_bounds,
     run,
     utility,
     welfare_ratio,
 )
-from ospcheck.checkers import BadGoodViolation
+from ospcheck.checkers import BadGoodViolation, enumerate_allocations
 
 PAY_LEVELS = [Fraction(0), Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3)]
 VALUE_LEVELS = [Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)]
@@ -308,8 +309,8 @@ def oracle_combine(agg, j, blocks, children, masks, insert) -> None:
     """The sibling join as one depth-first pass over every compatible
     combination of child classes, each merged on its own.
 
-    A drop-in for ``_Aggregator._combine`` (bind ``agg``): compatible choices
-    are found with the aggregator's bitset tables, visited lowest bit first,
+    A drop-in for ``_Scan._combine`` (bind ``agg``): compatible choices
+    are found with the scan's bitset tables, visited lowest bit first,
     and each complete combination is merged row by row and inserted, so
     classes arrive in stream order with no grouping of prefixes.
     """
@@ -317,7 +318,7 @@ def oracle_combine(agg, j, blocks, children, masks, insert) -> None:
 
     lists = [child[0] for child in children]
     indexes = [agg._join_index(child, j) for child in children]
-    size = agg.e.sizes[j]
+    size = agg.sizes[j]
     members = [[vi for vi in range(size) if b >> vi & 1] for b in blocks]
     owner = [next((t for t, b in enumerate(blocks) if b >> vi & 1), None) for vi in range(size)]
     last = len(blocks)
@@ -371,6 +372,92 @@ def oracle_combine(agg, j, blocks, children, masks, insert) -> None:
     rec(0, tuple((1 << len(lst)) - 1 for lst in lists))
 
 
+def _set_partitions(items: tuple):
+    """Partitions of ``items`` into two or more blocks: each item joins an
+    earlier block in order or opens a new one, so blocks are ordered by their
+    first item and partitions by their restricted-growth strings."""
+    def grow(k, blocks):
+        if k == len(items):
+            if len(blocks) >= 2:
+                yield tuple(map(tuple, blocks))
+            return
+        for block in blocks + [[]]:
+            block.append(items[k])
+            yield from grow(k + 1, blocks if len(block) > 1 else blocks + [block])
+            block.pop()
+
+    if items:
+        yield from grow(1, [[items[0]]])
+
+
+def normalized_stream(space):
+    """Every member of the search class of ``space``, in stream order.
+
+    A depth-first walk over positions, the players' consistent sets of
+    valuations: first every leaf (valid allocations in order, each with every
+    vector of grid payments), then, while depth remains, for each player
+    whose set has two or more valuations and each partition of it into two
+    or more blocks, every choice of one subtree per block at the position
+    where her set is that block, the first block's subtree varying slowest.
+    Block t is message ``str(t)``, node ids ``u0, u1, ...`` follow preorder,
+    and a plan sends the label of the block holding its valuation, else
+    ``"0"``.  Payments stay ``Fraction`` grid points throughout.
+    """
+    domain = space.domain
+    setting = domain.setting
+    players = domain.players
+    leaves = [
+        ("leaf", allocation, payments)
+        for allocation in enumerate_allocations(setting)
+        for payments in itertools.product(space.payment_grid, repeat=setting.n)
+    ]
+
+    def subtrees(consistent, depth):
+        yield from leaves
+        if depth < 1:
+            return
+        for j, vs in enumerate(consistent):
+            for blocks in _set_partitions(vs):
+                for subs in children(consistent, j, blocks, depth - 1):
+                    yield ("node", j, blocks, subs)
+
+    def children(consistent, j, blocks, depth):
+        if not blocks:
+            yield ()
+            return
+        below = consistent[:j] + (blocks[0],) + consistent[j + 1:]
+        for sub in subtrees(below, depth):
+            for rest in children(consistent, j, blocks[1:], depth):
+                yield (sub,) + rest
+
+    def build(desc):
+        nodes = {}
+        plans = [{v: {} for v in vs} for vs in players]
+
+        def add(desc):
+            nid = f"u{len(nodes)}"
+            nodes[nid] = None
+            if desc[0] == "leaf":
+                nodes[nid] = Leaf(allocation=desc[1], payments=desc[2])
+                return nid
+            _, j, blocks, subs = desc
+            for v in players[j]:
+                plans[j][v][nid] = next((str(t) for t, b in enumerate(blocks) if v in b), "0")
+            edges = {str(t): add(sub) for t, sub in enumerate(subs)}
+            nodes[nid] = InternalNode(speaker=j, edges=dict(sorted(edges.items())))
+            return nid
+
+        tree = MechanismTree(setting=setting, nodes=nodes, root=add(desc))
+        strategies = tuple(
+            {v: Behavior(owner=i, choices=plan) for v, plan in table.items()}
+            for i, table in enumerate(plans)
+        )
+        return MechanismBundle(tree=tree, strategies=strategies, domain=domain)
+
+    for desc in subtrees(tuple(players), space.max_depth):
+        yield build(desc)
+
+
 @dataclass
 class OracleScan:
     """What ``oracle_scan`` found: ``members`` stream members built, of
@@ -396,8 +483,8 @@ def _payment_bounds(args):
 def oracle_scan(space, target, stop_at_first=False) -> OracleScan:
     """The search verdict from every stream member, judged by the checkers alone.
 
-    Each member of ``enumerate_normalized_mechanisms`` is built and passed
-    to ``check_osp``, ``check_ir`` and ``check_nnt``.  A survivor beats a
+    Each member of ``normalized_stream`` is built and passed to
+    ``check_osp``, ``check_ir`` and ``check_nnt``.  A survivor beats a
     ratio when ``welfare_ratio`` is bounded and below it; the first survivor
     beating ``target`` is the counterexample, and with ``stop_at_first`` the
     scan ends there, leaving the counts partial.  On the adversarial
@@ -419,7 +506,7 @@ def oracle_scan(space, target, stop_at_first=False) -> OracleScan:
     }
     members = survivors = 0
     counterexample = None
-    for bundle in enumerate_normalized_mechanisms(space):
+    for bundle in normalized_stream(space):
         members += 1
         args = bundle.checker_args()
         if audit["applicable"] is None:  # a property of the domain alone

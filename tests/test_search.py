@@ -1,6 +1,7 @@
 """Search engine: stream counts, pruning agreement, verdict plumbing."""
 
 import functools
+import hashlib
 import time
 from fractions import Fraction
 
@@ -17,14 +18,13 @@ from ospcheck import (
     check_nnt,
     check_osp,
     default_payment_grid,
-    enumerate_normalized_mechanisms,
     falsify_impossibility,
     welfare_ratio,
 )
-from ospcheck.search import _Aggregator, _Engine
+from ospcheck.search import _Scan
 from ospcheck.serialize import serialize_mechanism
 
-from helpers import oracle_combine, oracle_scan
+from helpers import normalized_stream, oracle_combine, oracle_scan
 
 CA11 = AuctionSetting(kind="combinatorial", n=1, m=1)
 CA22 = AuctionSetting(kind="combinatorial", n=2, m=2)
@@ -39,7 +39,7 @@ def val(x):
 def test_singleton_domain_streams_leaf_mechanisms():
     dom = Domain(setting=CA11, players=((val(1),),))
     space = SearchSpace(domain=dom, payment_grid=ZERO_GRID)
-    bundles = list(enumerate_normalized_mechanisms(space))
+    bundles = list(normalized_stream(space))
     assert len(bundles) == 2  # item unallocated or to the only player
     assert all(b.tree.depth == 0 for b in bundles)
 
@@ -47,7 +47,7 @@ def test_singleton_domain_streams_leaf_mechanisms():
 def test_two_valuation_count_closed_form():
     dom = Domain(setting=CA11, players=((val(1), val(2)),))
     space = SearchSpace(domain=dom, payment_grid=ZERO_GRID)
-    bundles = list(enumerate_normalized_mechanisms(space))
+    bundles = list(normalized_stream(space))
     assert len(bundles) == 2 + 4  # |alloc| + |alloc|^2
     assert space.max_depth == 2
 
@@ -55,11 +55,11 @@ def test_two_valuation_count_closed_form():
 def test_depth_cap_respected():
     dom = Domain(setting=CA11, players=((val(1), val(2), val(3)),))
     space = SearchSpace(domain=dom, payment_grid=ZERO_GRID, max_depth=1)
-    bundles = list(enumerate_normalized_mechanisms(space))
+    bundles = list(normalized_stream(space))
     assert bundles and all(b.tree.depth <= 1 for b in bundles)
     # depth 0 forces leaf-only mechanisms
     space0 = SearchSpace(domain=dom, payment_grid=ZERO_GRID, max_depth=0)
-    assert all(b.tree.depth == 0 for b in enumerate_normalized_mechanisms(space0))
+    assert all(b.tree.depth == 0 for b in normalized_stream(space0))
 
 
 def test_streamed_bundles_are_valid_and_strategies_total():
@@ -72,11 +72,66 @@ def test_streamed_bundles_are_valid_and_strategies_total():
     )
     space = SearchSpace(domain=dom, payment_grid=(Fraction(0), Fraction(1)))
     seen = 0
-    for bundle in enumerate_normalized_mechanisms(space):
+    for bundle in normalized_stream(space):
         seen += 1  # MechanismBundle construction validates tree + totality
         for i, vs in enumerate(dom.players):
             assert all(v in bundle.strategies[i] for v in vs)
     assert seen > 6
+
+
+def _mixed_space():
+    # values in thirds and sevenths, payments in 97ths and sevenths: the
+    # common denominator is 2037, and no value or payment is an integer there
+    dom = Domain(
+        setting=MU22,
+        players=(
+            (SingleMindedMU(1, Fraction(1, 3)), SingleMindedMU(2, Fraction(5, 7))),
+            (SingleMindedMU(1, Fraction(2, 7)),),
+        ),
+    )
+    return SearchSpace(domain=dom, payment_grid=(Fraction(0), Fraction(1, 97), Fraction(2, 7)))
+
+
+def test_stream_pinned():
+    # member counts and the SHA-256 of the concatenated serialized members,
+    # recorded from the stream the library built before it moved here
+    dom = adversarial_domain(MU22, "mu-single-minded")
+    cases = [
+        (SearchSpace(
+            domain=Domain(setting=MU22, players=(
+                (SingleMindedMU(1, Fraction(1)), SingleMindedMU(2, Fraction(16))),
+                (SingleMindedMU(1, Fraction(1)),),
+            )),
+            payment_grid=(Fraction(0), Fraction(1)),
+        ), 600, "2b5b0d4e228ca47609625103cc315d521873e7eb4d08d0bce7f849812203fb37"),
+        (SearchSpace(
+            domain=Domain(setting=MU22, players=tuple(vs[:2] for vs in dom.players)),
+            payment_grid=ZERO_GRID,
+        ), 3534, "c60e6879f26665edf9cbf1e656a50a8c76bd0619b74b1f3862d15822c12e7ab3"),
+        (_mixed_space(), 2970,
+         "35dcad66c489548260cbf0aac357caa38aa72c70a177d9247f83e45f0a941d31"),
+    ]
+    for space, members, digest in cases:
+        h = hashlib.sha256()
+        count = 0
+        for bundle in normalized_stream(space):
+            h.update(serialize_mechanism(bundle).encode())
+            count += 1
+        assert (count, h.hexdigest()) == (members, digest)
+
+
+def test_scan_scales_non_unit_denominators():
+    space = _mixed_space()
+    off = oracle_scan(space, Fraction(3, 2))
+    on = falsify_impossibility(space, Fraction(3, 2))
+    assert on.outcome == off.outcome == "counterexample"
+    assert on.survivors == on.examined == off.survivors == 190
+    assert on.audit == off.audit
+    text = serialize_mechanism(on.counterexample)
+    assert text == serialize_mechanism(off.counterexample)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "164470de0666f265b59e0ab571bcabc6f3125a37cb88804fcec122be4b504449"
+    )
 
 
 def test_space_validation():
@@ -176,13 +231,12 @@ def test_prefix_join_matches_per_combination_oracle():
     grid = (Fraction(0), Fraction(1), Fraction(5))
     for domain, beating_only, size in cases:
         space = SearchSpace(domain=domain, payment_grid=grid)
-        engine = _Engine(space, Fraction(2))
         memos = []
         for combine in (None, oracle_combine):
-            agg = _Aggregator(engine, beating_only=beating_only)
+            agg = _Scan(space, Fraction(2), beating_only=beating_only)
             if combine is not None:
                 agg._combine = functools.partial(combine, agg)
-            agg.classes(engine.root_masks(), space.max_depth)
+            agg.classes(agg.full, space.max_depth)
             memos.append({key: entry[0] for key, entry in agg.memo.items()})
         prefix, oracle = memos
         assert prefix.keys() == oracle.keys()
