@@ -80,6 +80,7 @@ def search_item(verdict) -> dict:
         "class": verdict.class_description,
         "caveat": verdict.caveat,
         "audit": _jsonable(verdict.audit),
+        "progress": verdict.progress,
     }
     if verdict.counterexample is not None:
         item["counterexample"] = bundle_to_json_doc(verdict.counterexample)
@@ -157,6 +158,12 @@ class ReportDocument:
                     f"       examined {item['examined']} mechanisms, {item['survivors']} survivors,"
                     f" {item['elapsed_seconds']}s"
                 )
+                if item["outcome"] == "budget-exhausted":
+                    progress = item["progress"]
+                    lines.append(
+                        f"       budget ran out after {progress['positions_done']} positions,"
+                        f" {progress['join_steps']} join steps"
+                    )
                 lines.append(f"       class: {item['class']}")
                 lines.append(f"       caveat: {item['caveat']}")
             else:

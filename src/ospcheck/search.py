@@ -39,7 +39,7 @@ obvious strategy-proofness condition at that node.  Profiles covered by
 siblings are disjoint, so the count of a joined class is the product of its
 parts.
 
-Three reductions keep the join small:
+Four reductions keep the join small:
 
 * The class key holds no row for a player whose consistent set is still
   full.  A row is read only by an ancestor where its player speaks, and then
@@ -57,6 +57,13 @@ Three reductions keep the join small:
   rows and the flags fold associatively, so prefixes with an equal partial
   state are interchangeable: each level keeps one group per state, with the
   summed count and the first prefix, in stream order.
+* Candidates are folded once per bucket, not once per group.  The groups of
+  a level that share a speaker's row allow the same candidates and fold the
+  same row into each, so per such row the allowed candidates are folded once
+  and those left with an equal state are collapsed into one, with the summed
+  count and the lowest index.  Each group then walks the collapsed list and
+  folds only its rest (the other rows and the flags), through a table of
+  fold results memoized per rest.
 
 The scan judges a tree by four flags, read from one predicate table that
 ``_Scan`` builds for the target of the call: per allocation, the profiles
@@ -164,7 +171,10 @@ class SearchVerdict:
     ``examined`` equals ``survivors`` in both modes: the number of class
     members that pass OSP, IR and NNT, or with ``audit_survivors=False``
     the number of those that also beat the target.  Both are 0 on
-    ``budget-exhausted``.
+    ``budget-exhausted``, since counts exist only at the root; how far such
+    a scan got is in ``progress``: ``positions_done``, the memo positions
+    (consistent sets and remaining depth) whose class lists were finished,
+    and ``join_steps``, the leaves built plus the join candidates tested.
     """
 
     outcome: str  # "no-counterexample" | "counterexample" | "budget-exhausted"
@@ -175,6 +185,7 @@ class SearchVerdict:
     class_description: str
     audit: dict = field(default_factory=dict)
     caveat: str = GRID_CAVEAT
+    progress: dict = field(default_factory=dict)
 
 
 def _partitions(elements: tuple) -> list:
@@ -234,10 +245,13 @@ class _Scan:
     player's consistent set is still full: such a player has not spoken on
     the path from the root, so no ancestor ever compares that row.
 
-    Each memo entry is (classes, join_index, row_ids).  join_index maps a
-    speaker to the bitset tables ``_combine`` uses when that list is joined
-    as a child of a node where the speaker speaks; row_ids gives each class's
-    summary as ids of interned rows, so the join hashes and folds small ints.
+    Each memo entry is (classes, join_index, row_ids, rests).  join_index
+    maps a speaker to the bitset tables ``_combine`` uses when that list is
+    joined as a later child of a node where the speaker speaks; row_ids
+    gives each class's summary as ids of interned rows; rests maps a speaker
+    to each class's rest id.  A rest is a class's rows other than the
+    speaker's, as ids, with its flags, interned too, so the join hashes and
+    folds small ints through memoized fold tables.
     Counts are Python ints: they pass 2**63 on 5 x 5 domains.
     """
 
@@ -270,10 +284,11 @@ class _Scan:
         self._partition_cache: dict = {}
         self.memo: dict = {}
         self.work = 0
-        self.row_ids: dict = {}
-        self.row_of: list = []
-        self.fold_rows = functools.cache(self._fold_rows)
-        self.fold_flags = functools.cache(lambda a, b: _fold_flags((a, b)))
+        self.row_ids = _Ids()
+        self.row_of = self.row_ids.of
+        self.rest_ids = _Ids()
+        self.fold_rows = _row_folds(self.row_ids)
+        self.fold_rests = _rest_folds(self.rest_ids, self.fold_rows)
 
     def _build_predicates(self, target: Fraction) -> None:
         """Per allocation, bitsets of the profiles where its ratio misses the
@@ -347,6 +362,7 @@ class _Scan:
         if got is None:
             got = []
             for ai, rows in enumerate(self.rows):
+                self._check_deadline()
                 per_player = []
                 for mask, row in zip(masks, rows):
                     cap = min(x for vi, x in enumerate(row) if mask >> vi & 1)
@@ -377,28 +393,7 @@ class _Scan:
             [dict() for _ in range(self.sizes[i])] for i in range(self.n)
         ]
         nodes: dict = {}
-
-        def add(desc, masks) -> str:
-            nid = f"u{len(nodes)}"
-            nodes[nid] = None  # reserve before children so ids follow preorder
-            if desc[0] == "leaf":
-                _, ai, pays = desc
-                payments = tuple(Fraction(p, self.scale) for p in pays)
-                nodes[nid] = Leaf(allocation=self.allocations[ai], payments=payments)
-                return nid
-            _, j, blocks, subs = desc
-            for vi in range(self.sizes[j]):
-                choices[j][vi][nid] = next(
-                    (str(t) for t, block in enumerate(blocks) if block >> vi & 1), "0"
-                )
-            edges = {
-                str(t): add(sub, masks[:j] + (block,) + masks[j + 1:])
-                for t, (block, sub) in enumerate(zip(blocks, subs))
-            }
-            nodes[nid] = InternalNode(speaker=j, edges=dict(sorted(edges.items())))
-            return nid
-
-        root = add(descriptor, self.full)
+        root = self._add_node(descriptor, self.full, nodes, choices)
         tree = MechanismTree(setting=self.setting, nodes=nodes, root=root)
         strategies = tuple(
             {
@@ -409,14 +404,39 @@ class _Scan:
         )
         return MechanismBundle(tree=tree, strategies=strategies, domain=self.space.domain)
 
+    def _add_node(self, desc: tuple, masks: tuple, nodes: dict, choices: list) -> str:
+        # a method, not a closure over itself and the scan: a scan in no
+        # reference cycle is freed as soon as ``falsify_impossibility`` returns
+        nid = f"u{len(nodes)}"
+        nodes[nid] = None  # reserve before children so ids follow preorder
+        if desc[0] == "leaf":
+            _, ai, pays = desc
+            payments = tuple(Fraction(p, self.scale) for p in pays)
+            nodes[nid] = Leaf(allocation=self.allocations[ai], payments=payments)
+            return nid
+        _, j, blocks, subs = desc
+        for vi in range(self.sizes[j]):
+            choices[j][vi][nid] = next(
+                (str(t) for t, block in enumerate(blocks) if block >> vi & 1), "0"
+            )
+        edges = {
+            str(t): self._add_node(sub, masks[:j] + (block,) + masks[j + 1:], nodes, choices)
+            for t, (block, sub) in enumerate(zip(blocks, subs))
+        }
+        nodes[nid] = InternalNode(speaker=j, edges=dict(sorted(edges.items())))
+        return nid
+
     # -- composition ------------------------------------------------------
 
     def _tick(self, steps: int) -> None:
-        """Count leaves or join extensions; check the deadline every 4096."""
+        """Count leaves or join candidates tested; check the deadline every 4096."""
         self.work += steps
-        if self.deadline is not None and self.work >> 12 != (self.work - steps) >> 12:
-            if time.monotonic() >= self.deadline:
-                raise _BudgetExceeded
+        if self.work >> 12 != (self.work - steps) >> 12:
+            self._check_deadline()
+
+    def _check_deadline(self) -> None:
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            raise _BudgetExceeded
 
     def _leaf_summary(self, masks: tuple, ai: int, pays: tuple) -> tuple:
         return tuple(
@@ -425,22 +445,8 @@ class _Scan:
             for mask, full, row, pay in zip(masks, self.full, self.rows[ai], pays)
         )
 
-    def _row_id(self, row: tuple) -> int:
-        got = self.row_ids.get(row)
-        if got is None:
-            got = self.row_ids[row] = len(self.row_of)
-            self.row_of.append(row)
-        return got
-
-    def _fold_rows(self, a: int, b: int) -> int:
-        """Id of the elementwise (min rmin, max emax) of rows ``a`` and ``b``."""
-        return self._row_id(tuple(
-            (r if r < s else s, e if e > f else f)
-            for (r, e), (s, f) in zip(self.row_of[a], self.row_of[b])
-        ))
-
     def classes(self, masks: tuple, depth: int) -> tuple:
-        """Memo entry (classes, join_index, row_ids) for every subtree at ``masks``."""
+        """Memo entry (classes, join_index, row_ids, rests) for every subtree at ``masks``."""
         # beyond full refinement of every consistent set, extra depth adds
         # no trees; collapsing the key avoids recomputing identical lists
         refinement = sum(max(bin(m).count("1") - 1, 0) for m in masks)
@@ -448,8 +454,7 @@ class _Scan:
         got = self.memo.get(key)
         if got is not None:
             return got
-        if self.deadline is not None and time.monotonic() >= self.deadline:
-            raise _BudgetExceeded
+        self._check_deadline()
         table: dict = {}
 
         def insert(summary, flags, count, desc) -> None:
@@ -477,21 +482,33 @@ class _Scan:
         # first-encounter (insertion) order makes the stored representative of
         # each class the stream-first member, so counterexamples match the stream
         classes = [tuple(entry) for entry in table.values()]
-        got = (classes, {}, [tuple(map(self._row_id, c[0])) for c in classes])
+        got = (classes, {}, [tuple(map(self.row_ids.__getitem__, c[0])) for c in classes], {})
         self.memo[key] = got
         return got
 
     def _join_index(self, child: tuple, j: int) -> tuple:
         """(by_emax, by_neg_rmin): per valuation of speaker ``j``, tables for
         ``_at_most`` over the child's classes by emax and by negated rmin."""
-        classes, join_index, _ = child
+        classes, join_index, _, _ = child
         got = join_index.get(j)
         if got is None:
-            valuations = range(self.sizes[j])
-            got = join_index[j] = (
-                [_threshold_table([c[0][j][vi][1] for c in classes]) for vi in valuations],
-                [_threshold_table([-c[0][j][vi][0] for c in classes]) for vi in valuations],
-            )
+            by_emax, by_neg_rmin = [], []
+            for vi in range(self.sizes[j]):
+                self._check_deadline()
+                by_emax.append(_threshold_table([c[0][j][vi][1] for c in classes]))
+                by_neg_rmin.append(_threshold_table([-c[0][j][vi][0] for c in classes]))
+            got = join_index[j] = (by_emax, by_neg_rmin)
+        return got
+
+    def _rests(self, child: tuple, j: int) -> list:
+        """Per class of ``child``, the id of its rest for speaker ``j``: the
+        other players' row ids and the flags."""
+        classes, _, row_ids, rests = child
+        got = rests.get(j)
+        if got is None:
+            got = rests[j] = [
+                self.rest_ids[ids[:j] + ids[j + 1:], c[1]] for c, ids in zip(classes, row_ids)
+            ]
         return got
 
     def _combine(self, j: int, blocks: tuple, children: list, masks: tuple, insert) -> None:
@@ -502,51 +519,144 @@ class _Scan:
         least child s's emax on t's block.  So child t reads a prefix (one
         class per earlier child) only through the speaker's row of its partial
         summary: the owner's rmin on each earlier block (the other children
-        hold ``_BIG`` there) and the max emax over earlier siblings.  The other
-        rows and the flags fold associatively, so prefixes with equal partial
-        rows and flags are one group, with the summed count and the
-        lexicographically first prefix.  Groups are walked in dict order and
-        candidates lowest bit first, so each level's dict fills in order of
-        first prefixes (a new group's first prefix extends that of the
-        earliest group reaching it): the depth-first stream's order.
+        hold ``_BIG`` there) and the max emax over earlier siblings.  The rest
+        (the other rows and the flags) folds associatively, so prefixes with
+        an equal speaker's row and rest are one group, with the summed count
+        and the lexicographically first prefix.  Groups are walked in dict
+        order and candidates lowest bit first, so each level's dict fills in
+        order of first prefixes (a new group's first prefix extends that of
+        the earliest group reaching it): the depth-first stream's order.
+
+        The groups sharing a speaker's row form a bucket: they allow the same
+        candidates, and fold the same speaker's row into each.  So per bucket,
+        once, the allowed candidates are folded and those that end with an
+        equal (folded speaker's row, rest) are collapsed into one, with the
+        summed count and the descriptor of the lowest index, kept in order of
+        that index.  For every group of the bucket, collapsed candidates reach
+        one key, and the first of them to reach it is the lowest index, so
+        each key first appears at the same (group, candidate) pair as in a
+        walk of every candidate: counts, order and first prefixes are kept.
+        At the last level a full speaker's set stores no row, so the folded
+        row is left out of the key and ``insert`` gets groups already merged.
         """
-        indexes = [self._join_index(child, j) for child in children]
         members = [[vi for vi in range(self.sizes[j]) if b >> vi & 1] for b in blocks]
-        row_of, fold_rows, fold_flags = self.row_of, self.fold_rows, self.fold_flags
-        groups = [(rows, c[1], c[2], (c[3],)) for c, rows in zip(children[0][0], children[0][2])]
+        row_of, fold_rows, fold_rests = self.row_of, self.fold_rows, self.fold_rests
+        empty = self.row_ids[()] if masks[j] == self.full[j] else None
+        first, _, first_rows, _ = children[0]
+        groups = [(rows[j], rest, c[2], (c[3],))
+                  for c, rows, rest in zip(first, first_rows, self._rests(children[0], j))]
         for t in range(1, len(blocks)):
-            candidates, _, cand_rows = children[t]
-            by_emax, by_neg_rmin = indexes[t]
+            candidates, _, cand_rows, _ = children[t]
+            by_emax, by_neg_rmin = self._join_index(children[t], j)
+            rests = self._rests(children[t], j)
             earlier = [vi for block in members[:t] for vi in block]
             everyone = (1 << len(candidates)) - 1
-            allowed: dict = {}
+            drop = empty is not None and t == len(blocks) - 1
+            buckets: dict = {}
             level: dict = {}
-            for rows, flags, count, prefix in groups:
-                bits = allowed.get(rows[j])
-                if bits is None:
-                    row = row_of[rows[j]]
+            for own, rest, count, prefix in groups:
+                bucket = buckets.get(own)
+                if bucket is None:
+                    row = row_of[own]
                     bits = everyone
                     for vi in earlier:
                         bits &= _at_most(by_emax[vi], row[vi][0])
                     for vi in members[t]:
                         bits &= _at_most(by_neg_rmin[vi], -row[vi][1])
-                    allowed[rows[j]] = bits
-                self._tick(bits.bit_count())
-                for i in _set_bits(bits):
-                    _, cand_flags, cand_count, desc = candidates[i]
-                    key = (tuple(map(fold_rows, rows, cand_rows[i])), fold_flags(flags, cand_flags))
+                    fold_own = fold_rows[own]
+                    collapsed: dict = {}
+                    for tested, i in enumerate(_set_bits(bits), 1):
+                        if not tested & 4095:
+                            self._check_deadline()
+                        _, _, cand_count, desc = candidates[i]
+                        key = (empty if drop else fold_own[cand_rows[i][j]], rests[i])
+                        entry = collapsed.get(key)
+                        if entry is None:
+                            collapsed[key] = [cand_count, desc]
+                        else:
+                            entry[0] += cand_count
+                    bucket = buckets[own] = (bits.bit_count(), [
+                        (folded, cand_rest, cand_count, desc)
+                        for (folded, cand_rest), (cand_count, desc) in collapsed.items()
+                    ])
+                width, collapsed_candidates = bucket
+                self._tick(width)
+                fold_rest = fold_rests[rest]
+                for folded, cand_rest, cand_count, desc in collapsed_candidates:
+                    key = (folded, fold_rest[cand_rest])
                     entry = level.get(key)
                     if entry is None:
                         level[key] = [count * cand_count, prefix + (desc,)]
                     else:
                         entry[0] += count * cand_count
-            groups = [(rows, f, count, prefix) for (rows, f), (count, prefix) in level.items()]
-        # the speaker's row is dropped if its set is full here; ``insert``
-        # then merges the groups that differed only there, keeping the first
-        for rows, flags, count, prefix in groups:
-            summary = tuple(() if jj == j and masks[j] == self.full[j] else row_of[r]
-                            for jj, r in enumerate(rows))
+            groups = [(own, rest, count, prefix) for (own, rest), (count, prefix) in level.items()]
+        for own, rest, count, prefix in groups:
+            others, flags = self.rest_ids.of[rest]
+            summary = tuple(map(row_of.__getitem__, others[:j] + (own,) + others[j:]))
             insert(summary, flags, count, ("node", j, blocks, prefix))
+
+
+class _Ids(dict):
+    """Dense ids for hashable values: ``ids[value]`` gives ``value`` the
+    next free id on first sight, and ``ids.of[id]`` gives the value back."""
+
+    __slots__ = ("of",)
+
+    def __init__(self):
+        super().__init__()
+        self.of: list = []
+
+    def __missing__(self, value) -> int:
+        got = self[value] = len(self.of)
+        self.of.append(value)
+        return got
+
+
+class _Table(dict):
+    """A dict that fills itself: a missing key maps to ``make(key)``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        got = self[key] = self.make(key)
+        return got
+
+
+def _fold_table(fold) -> _Table:
+    """``table[a][b]`` is ``fold(a, b)``, computed on first use.
+
+    The folds below close over id tables, not over the scan, so that no
+    table refers back to the scan and its memo is freed with it."""
+    return _Table(lambda a: _Table(functools.partial(fold, a)))
+
+
+def _row_folds(row_ids: _Ids) -> _Table:
+    """Fold table of row ids: the elementwise (min rmin, max emax)."""
+    of = row_ids.of
+
+    def fold(a: int, b: int) -> int:
+        return row_ids[tuple(
+            (r if r < s else s, e if e > f else f) for (r, e), (s, f) in zip(of[a], of[b])
+        )]
+
+    return _fold_table(fold)
+
+
+def _rest_folds(rest_ids: _Ids, row_folds: _Table) -> _Table:
+    """Fold table of rest ids: rows by ``row_folds``, flags by ``_fold_flags``."""
+    of = rest_ids.of
+    flag_folds = _fold_table(lambda a, b: _fold_flags((a, b)))
+
+    def fold(a: int, b: int) -> int:
+        (rows_a, flags_a), (rows_b, flags_b) = of[a], of[b]
+        rows = tuple(row_folds[x][y] for x, y in zip(rows_a, rows_b))
+        return rest_ids[rows, flag_folds[flags_a][flags_b]]
+
+    return _fold_table(fold)
 
 
 def _threshold_table(values: list) -> tuple:
@@ -629,7 +739,7 @@ def falsify_impossibility(
     examined = 0
     counterexample = None
     try:
-        root, _, _ = scan.classes(scan.full, space.max_depth)
+        root = scan.classes(scan.full, space.max_depth)[0]
     except _BudgetExceeded:
         outcome = "budget-exhausted"
     else:
@@ -651,4 +761,5 @@ def falsify_impossibility(
         elapsed=time.monotonic() - start,
         class_description=space.describe(),
         audit=audit,
+        progress={"positions_done": len(scan.memo), "join_steps": scan.work},
     )

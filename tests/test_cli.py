@@ -164,6 +164,22 @@ def test_search_default_grid_follows_setting(tmp_path, capsys):
     assert "5/1, 8/1, 10/1, 16/1, 20/1}" in item["class"]
 
 
+def test_search_budget_exhausted_reports_progress(tmp_path, capsys):
+    from ospcheck import AuctionSetting, adversarial_domain
+    from ospcheck.serialize import serialize_domain
+
+    mu = AuctionSetting(kind="multi-unit", n=2, m=2)
+    domain_path = tmp_path / "dom.json"
+    domain_path.write_text(serialize_domain(adversarial_domain(mu, "mu-single-minded")))
+    search = ["search", "--domain", str(domain_path), "--target-ratio", "2", "--budget", "0"]
+    code, out, _ = run_cli(capsys, *search)
+    assert code == 1
+    assert "budget ran out after 0 positions, 0 join steps" in out
+    code, out, _ = run_cli(capsys, *search, "--format", "machine")
+    item = json.loads(out)["items"][0]
+    assert item["progress"] == {"positions_done": 0, "join_steps": 0}
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--mechanism", "/no/such/file.json")
     assert code == 2

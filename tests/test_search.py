@@ -1,4 +1,4 @@
-"""Search engine: stream counts, pruning agreement, verdict plumbing."""
+"""Search engine: stream counts, scan and oracle agreement, verdict plumbing."""
 
 import functools
 import hashlib
@@ -29,6 +29,7 @@ from helpers import normalized_stream, oracle_combine, oracle_scan
 CA11 = AuctionSetting(kind="combinatorial", n=1, m=1)
 CA22 = AuctionSetting(kind="combinatorial", n=2, m=2)
 MU22 = AuctionSetting(kind="multi-unit", n=2, m=2)
+MU32 = AuctionSetting(kind="multi-unit", n=3, m=2)
 ZERO_GRID = (Fraction(0),)
 
 
@@ -149,7 +150,7 @@ def _sub_space(grid=(Fraction(0), Fraction(1))):
     return SearchSpace(domain=sub, payment_grid=grid)
 
 
-def test_pruning_on_off_agree():
+def test_scan_and_oracle_agree_on_first_counterexample():
     space = _sub_space()
     on = falsify_impossibility(space, Fraction(2))
     off = oracle_scan(space, Fraction(2), stop_at_first=True)
@@ -222,14 +223,23 @@ def test_prefix_join_matches_per_combination_oracle():
     dom = adversarial_domain(MU22, "mu-single-minded")
     k = max(MU22.m, MU22.n)
     square = SingleMindedMU(quantity=MU22.m, value=Fraction(k**2))
-    cases = [  # (domain, beating_only, classes over all memo keys)
-        (dom, False, 5018),
-        (Domain(setting=MU22, players=tuple(vs[:2] for vs in dom.players)), False, 91),
-        (Domain(setting=MU22, players=tuple(vs + (square,) if len(vs) > 1 else vs
-                                            for vs in dom.players)), True, 6014),
-    ]
     grid = (Fraction(0), Fraction(1), Fraction(5))
-    for domain, beating_only, size in cases:
+    three = Domain(setting=MU32, players=(
+        (SingleMindedMU(1, Fraction(1)), SingleMindedMU(2, Fraction(3))),
+        (SingleMindedMU(1, Fraction(1)), SingleMindedMU(2, Fraction(5))),
+        (SingleMindedMU(1, Fraction(2)), SingleMindedMU(2, Fraction(4))),
+    ))
+    cases = [  # (domain, grid, beating_only, classes over all memo keys)
+        (dom, grid, False, 5018),
+        (Domain(setting=MU22, players=tuple(vs[:2] for vs in dom.players)), grid, False, 91),
+        (Domain(setting=MU22, players=tuple(vs + (square,) if len(vs) > 1 else vs
+                                            for vs in dom.players)), grid, True, 6014),
+        # three players who all speak: a join folds two non-speaker rows
+        (three, (Fraction(0), Fraction(1), Fraction(3)), False, 853),
+        (adversarial_domain(CA22, "ca-single-minded"), (Fraction(0), Fraction(1)), False, 2216),
+        (dom, (Fraction(0), Fraction(1), Fraction(4), Fraction(5)), False, 11989),
+    ]
+    for domain, grid, beating_only, size in cases:
         space = SearchSpace(domain=domain, payment_grid=grid)
         memos = []
         for combine in (None, oracle_combine):
@@ -280,6 +290,10 @@ def test_budget_exhaustion():
     short = falsify_impossibility(space, Fraction(2), budget_seconds=0.3)
     assert short.outcome == "budget-exhausted"
     assert short.elapsed < 2 and time.monotonic() - start < 2
+    # counts exist only at the root, so how far the scan got is the progress
+    assert (short.examined, short.survivors, short.audit["survivors_checked"]) == (0, 0, 0)
+    assert short.progress["join_steps"] > 0
+    assert verdict.progress == {"positions_done": 0, "join_steps": 0}
 
 
 def test_default_payment_grid_follows_setting_kind():
