@@ -12,15 +12,24 @@ The IR, OSP and DSIC checkers, the bad-leaf scan and the welfare ratio
 compare integers: every value and payment they read is scaled by one common
 denominator, in a table built once per tree and domain (``_Table``).  Their
 witnesses and reports carry the exact ``Fraction`` values.
+
+The table holds each player's utilities under each valuation as one list in
+preorder leaf order, and a subtree's leaves are one slice of it
+(``MechanismTree.leaf_span``).  So OSP, DSIC and the bad-leaf scan read the
+best leaf under a message as the max of a slice, and the worst leaf under a
+plan as the min over the plan's leaves in a slice, a run found by bisection.
+The obvious-dominance answer for a player, valuation and plan is kept on the
+table, keyed by the plan's labels at the player's nodes, so ``check_dsic``
+after ``check_osp`` on one tree reuses every answer ``check_osp`` computed.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from .model import (
@@ -30,6 +39,7 @@ from .model import (
     MechanismTree,
     bundle_contains,
     bundle_is_empty,
+    follow,
     run,
 )
 from .valuations import Domain, SingleMindedMU, evaluate
@@ -143,20 +153,22 @@ class _Table:
 
     ``allocations``, ``scale`` and ``values`` are those of ``scaled_values``
     with the leaf payments; a leaf's allocation is valid, so its bundles are
-    among those of ``values``.  ``utils[i][vi]`` maps each leaf id to player
-    i's scaled utility there under her vi-th valuation.
+    among those of ``values``.  ``utils[i][vi]`` lists player i's scaled
+    utility under her vi-th valuation at each leaf, in ``tree.leaf_ids``
+    order.  ``answers`` keeps ``_osp_violation`` answers (``_plan_answer``).
     """
 
     def __init__(self, tree: MechanismTree, players):
         leaves = [tree.nodes[lid] for lid in tree.leaf_ids]
         payments = (p for leaf in leaves for p in leaf.payments)
         self.allocations, self.scale, self.values = scaled_values(tree.setting, players, payments)
-        self.utils = [[{} for _ in vs] for vs in players]
-        for lid, leaf in zip(tree.leaf_ids, leaves):
+        self.utils = [[[] for _ in vs] for vs in players]
+        for leaf in leaves:
             for i, (b, p) in enumerate(zip(leaf.allocation, leaf.payments)):
                 pay = p.numerator * (self.scale // p.denominator)
                 for u, x in zip(self.utils[i], self.values[i][b]):
-                    u[lid] = x - pay
+                    u.append(x - pay)
+        self.answers: dict = {}
 
     def exact(self, x: int) -> Fraction:
         return Fraction(x, self.scale)
@@ -181,14 +193,15 @@ def check_ir(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     table = _table(tree, domain)
     realized = _realized(tree, strategies, domain)
     for us, (profile, behaviors, leaf_id, _) in zip(itertools.product(*table.utils), realized):
+        k = tree.leaf_span(leaf_id)[0]
         for i, u in enumerate(us):
-            if u[leaf_id] < 0:
+            if u[k] < 0:
                 return Verdict(
                     "ir",
                     False,
                     Witness(player=i, valuation=profile[i], profile=profile,
                             behaviors=behaviors, leaf=leaf_id,
-                            utility=table.exact(u[leaf_id])),
+                            utility=table.exact(u[k])),
                 )
     return Verdict("ir", True)
 
@@ -210,56 +223,35 @@ def check_nnt(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
 
 
 def _off_path(tree: MechanismTree, path: list):
-    """Yield ``(vertex, leaves)`` for the leaves below each vertex of ``path`` but off
-    it, in preorder: left of the path shallowest vertex first, then right of it deepest
-    vertex first.  A subtree's leaves are contiguous, so each run is one slice."""
+    """Yield ``(vertex, lo, hi)`` for the leaves ``leaf_ids[lo:hi]`` below each vertex
+    of ``path`` but off it, in preorder: left of the path shallowest vertex first, then
+    right of it deepest vertex first.  A subtree's leaves are contiguous, so each run
+    is one slice."""
     spans = [(w, tree.leaf_span(w), tree.leaf_span(c)) for w, c in zip(path, path[1:])]
     for w, (lo_w, _), (lo_c, _) in spans:
-        yield w, tree.leaf_ids[lo_w:lo_c]
+        yield w, lo_w, lo_c
     for w, (_, hi_w), (_, hi_c) in reversed(spans):
-        yield w, tree.leaf_ids[hi_c:hi_w]
+        yield w, hi_c, hi_w
 
 
-def _consistent_reach(tree: MechanismTree, player: int, behavior: Behavior):
-    """Nodes reachable when ``player`` follows ``behavior`` and others roam.
-
-    Exactly the vertices attainable given the behavior, plus the leaves the
-    player can realize with it.
-    """
-    visited = []
+def _plan_reach(tree: MechanismTree, player: int, behavior: Behavior):
+    """``(own, leaves)`` while ``player`` follows ``behavior`` and the others roam: her
+    attainable vertices in preorder, and the ``leaf_ids`` positions of the leaves she
+    can realize, ascending.  A choice the plan lacks, or a label the tree lacks, at an
+    attainable vertex raises ``run()``'s MechanismError."""
+    own, leaves = [], []
     stack = [tree.root]
     while stack:
         nid = stack.pop()
-        visited.append(nid)
         node = tree.nodes[nid]
         if isinstance(node, Leaf):
-            continue
-        if node.speaker == player:
-            child = node.edges.get(behavior.choices[nid])
-            stack.append(child)
+            leaves.append(tree.leaf_span(nid)[0])
+        elif node.speaker == player:
+            own.append(nid)
+            stack.append(follow(behavior, nid, node))
         else:
-            stack.extend(reversed(list(node.edges.values())))
-    return visited
-
-
-def _osp_stats(tree: MechanismTree, player: int, behavior: Behavior, u: dict):
-    """Per-node (min, argmin-leaf) of the player's utility over leaves she can still
-    reach from that node while following ``behavior`` at her own nodes, and per-node
-    (max, argmax-leaf) over all leaves below; ties keep the first leaf in preorder."""
-    fmin: dict = {}
-    amax: dict = {}
-    for nid in reversed(tree.preorder):
-        node = tree.nodes[nid]
-        if isinstance(node, Leaf):
-            fmin[nid] = amax[nid] = (u[nid], nid)
-            continue
-        children = node.edges.values()
-        amax[nid] = max((amax[c] for c in children), key=itemgetter(0))
-        if node.speaker == player:
-            fmin[nid] = fmin[node.edges[behavior.choices[nid]]]
-        else:
-            fmin[nid] = min((fmin[c] for c in children), key=itemgetter(0))
-    return fmin, amax
+            stack.extend(reversed(node.edges.values()))
+    return own, leaves
 
 
 def _profile_through(tree: MechanismTree, paths, fixed=None) -> tuple:
@@ -286,29 +278,52 @@ def _profile_through(tree: MechanismTree, paths, fixed=None) -> tuple:
     return tuple(profile)
 
 
-def _osp_violation(tree: MechanismTree, player: int, behavior: Behavior, u: dict):
-    """The first of the player's attainable vertices, in ``nodes_of`` order, where
-    following ``behavior`` is not obviously dominant for utilities ``u``, as
-    ``(vertex, own_label, worst, worst_leaf, best, best_leaf, best_label)``; None
-    when there is none."""
-    reach = set(_consistent_reach(tree, player, behavior))
-    fmin, amax = _osp_stats(tree, player, behavior, u)
-    for nid in tree.nodes_of(player):
+def _osp_violation(tree: MechanismTree, player: int, behavior: Behavior, u: list):
+    """The first of the player's attainable vertices, in preorder, where following
+    ``behavior`` is not obviously dominant for the utilities ``u`` (in ``leaf_ids``
+    order), as ``(vertex, own_label, worst, worst_leaf, best, best_leaf, best_label)``;
+    None when there is none.
+
+    Below the vertex, the other messages' leaves are the slices of ``u`` left and
+    right of the own child's span, and the worst leaf under the plan is the min over
+    the plan's leaves inside that span, one run of ``leaves``.  Ties keep the first
+    leaf in preorder."""
+    own, leaves = _plan_reach(tree, player, behavior)
+    reached = [u[k] for k in leaves]
+    for nid in own:
         node = tree.nodes[nid]
-        if nid not in reach or len(node.edges) < 2:
+        if len(node.edges) < 2:
             continue
         own_label = behavior.choices[nid]
-        worst, worst_leaf = fmin[node.edges[own_label]]
-        best, best_leaf, best_label = None, None, None
-        for lbl, child in node.edges.items():
-            if lbl == own_label:
-                continue
-            m, ml = amax[child]
-            if best is None or m > best:
-                best, best_leaf, best_label = m, ml, lbl
-        if best is not None and worst < best:
+        lo, hi = tree.leaf_span(nid)
+        lo_c, hi_c = tree.leaf_span(node.edges[own_label])
+        left = u[lo:lo_c]
+        best = max(left + u[hi_c:hi])
+        a, b = bisect_left(leaves, lo_c), bisect_left(leaves, hi_c)
+        worst = min(reached[a:b])
+        if worst < best:
+            worst_leaf = tree.leaf_ids[leaves[reached.index(worst, a, b)]]
+            k = u.index(best, lo, lo_c) if best in left else u.index(best, hi_c, hi)
+            best_leaf = tree.leaf_ids[k]
+            path = tree.path_to(best_leaf)
+            best_label = tree.label_into(path[path.index(nid) + 1])
             return nid, own_label, worst, worst_leaf, best, best_leaf, best_label
     return None
+
+
+def _plan_answer(tree: MechanismTree, table: _Table, player: int, vi: int, behavior: Behavior):
+    """``_osp_violation`` for the player's vi-th valuation, kept on ``table``.
+
+    The answer reads the tree, that valuation's utilities and the plan's labels at
+    the player's nodes, so those labels, read afresh on every call, key it: a plan
+    replaced or changed in place between calls gets its own answer.  A call that
+    raises keeps nothing.  Threads sharing a tree may both compute one answer; they
+    store equal values."""
+    key = (player, vi, tuple(map(behavior.choices.get, tree.nodes_of(player))))
+    answers = table.answers
+    if key not in answers:
+        answers[key] = _osp_violation(tree, player, behavior, table.utils[player][vi])
+    return answers[key]
 
 
 def check_osp(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
@@ -317,13 +332,16 @@ def check_osp(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     At every attainable decision vertex with at least two messages, the
     worst leaf still reachable while the owner keeps following her plan must
     be at least as good as the best leaf anywhere under any other message.
-    Vertices with a single message impose no constraint.
+    Vertices with a single message impose no constraint.  Both sides are
+    read from slices of the player's utilities in preorder leaf order, and
+    each (player, valuation, plan) answer is kept on the tree's table for
+    :func:`check_dsic` to reuse.
     """
     table = _table(tree, domain)
-    for i in range(tree.setting.n):
-        for v, u in zip(_players(domain)[i], table.utils[i]):
+    for i, vs in enumerate(_players(domain)):
+        for vi, v in enumerate(vs):
             behavior = strategies[i][v]
-            found = _osp_violation(tree, i, behavior, u)
+            found = _plan_answer(tree, table, i, vi, behavior)
             if found is None:
                 continue
             nid, own_label, worst, worst_leaf, best, best_leaf, best_label = found
@@ -358,26 +376,27 @@ def check_dsic(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     :func:`check_osp`, per player and valuation: a pair (own leaf, vertex,
     better off-path leaf) is an OSP violation at the vertex and conversely;
     only witnesses differ.  So the pairs are scanned only for a player and
-    valuation that ``_osp_violation`` flags.  This is not the DSIC over
-    opponents' valuations under which VCG is dominant; switching to that
-    notion would change verdicts and is not done here.
+    valuation whose obvious-dominance answer, shared with ``check_osp``
+    through the tree's table, flags a vertex; the better leaves off a path
+    are slices of the player's utilities in preorder leaf order.  This is
+    not the DSIC over opponents' valuations under which VCG is dominant;
+    switching to that notion would change verdicts and is not done here.
     """
     table = _table(tree, domain)
-    for i in range(tree.setting.n):
-        for v, u in zip(_players(domain)[i], table.utils[i]):
+    for i, vs in enumerate(_players(domain)):
+        for vi, v in enumerate(vs):
             behavior = strategies[i][v]
-            if _osp_violation(tree, i, behavior, u) is None:
+            if _plan_answer(tree, table, i, vi, behavior) is None:
                 continue
-            reach = _consistent_reach(tree, i, behavior)
-            own_leaves = [nid for nid in reach if isinstance(tree.nodes[nid], Leaf)]
-            for leaf_id in own_leaves:
+            u = table.utils[i][vi]
+            for k in _plan_reach(tree, i, behavior)[1]:
+                leaf_id = tree.leaf_ids[k]
                 path = tree.path_to(leaf_id)
-                for w, others in _off_path(tree, path):
-                    if tree.nodes[w].speaker != i:
+                for w, lo, hi in _off_path(tree, path):
+                    if tree.nodes[w].speaker != i or max(u[lo:hi], default=u[k]) <= u[k]:
                         continue
-                    other_id = next((x for x in others if u[x] > u[leaf_id]), None)
-                    if other_id is None:
-                        continue
+                    x = next(x for x in range(lo, hi) if u[x] > u[k])
+                    other_id = tree.leaf_ids[x]
                     other_path = tree.path_to(other_id)
                     opponents = _profile_through(tree, [path, other_path], fixed=behavior)
                     alt = _profile_through(tree, [other_path])
@@ -388,8 +407,8 @@ def check_dsic(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
                             player=i, vertex=w, valuation=v,
                             behaviors=opponents, alt_behaviors=alt,
                             leaf=leaf_id, alt_leaf=other_id,
-                            utility=table.exact(u[leaf_id]),
-                            alt_utility=table.exact(u[other_id]),
+                            utility=table.exact(u[k]),
+                            alt_utility=table.exact(u[x]),
                             note="a unilateral deviation beats the plan "
                                  "against fixed opponent behaviors",
                         ),
@@ -486,17 +505,32 @@ def scan_bad_leaf_good_leaf(tree: MechanismTree, strategies: Sequence, domain) -
     so both plans send the same message: only the split vertex and its
     speaker can qualify, and the scan checks nothing else.  Any obviously
     dominant plan yields an empty list.
+
+    Only leaves some profile reaches can be the second outcome.  So an
+    off-path slice of the player's utilities is scanned only when its max
+    beats the realized utility, only reached leaves enter ``good``, and the
+    profiles are paired only when one does.
     """
     table = _table(tree, domain)
     realized = list(_realized(tree, strategies, domain))
+    reach = {leaf for _, _, leaf, _ in realized}
+    leaf_ids = tree.leaf_ids
+    runs: dict = {}  # realized leaf -> (its position, nonempty off-path slices of its path)
     out = []
     # product order over the tables matches the realized profiles' order
     for us, (p1, _, leaf1, path1) in zip(itertools.product(*table.utils), realized):
+        got = runs.get(leaf1)
+        if got is None:
+            got = runs[leaf1] = (tree.leaf_span(leaf1)[0], [
+                (w, tree.nodes[w].speaker, lo, hi) for w, lo, hi in _off_path(tree, path1) if lo < hi])
+        k1, spans = got
         good = {}  # leaf -> (player, vertex, bad utility, good utility)
-        for w, leaves in _off_path(tree, path1):
-            i = tree.nodes[w].speaker
+        for w, i, lo, hi in spans:
             u = us[i]
-            good.update((x, (i, w, u[leaf1], u[x])) for x in leaves if u[leaf1] < u[x])
+            bad = u[k1]
+            if max(u[lo:hi]) > bad:
+                good.update((leaf_ids[x], (i, w, bad, u[x])) for x in range(lo, hi)
+                            if bad < u[x] and leaf_ids[x] in reach)
         if not good:
             continue
         for p2, _, leaf2, _ in realized:

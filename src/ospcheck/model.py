@@ -405,13 +405,21 @@ def run(tree: MechanismTree, profile: Sequence[Behavior]):
         node = tree.nodes[nid]
         if isinstance(node, Leaf):
             return nid, path
-        choice = profile[node.speaker].choices.get(nid)
-        if choice is None:
-            raise MechanismError(f"behavior of player {node.speaker} undefined at node {nid!r}")
-        child = node.edges.get(choice)
-        if child is None:
-            raise MechanismError(f"label {choice!r} does not exist at node {nid!r}")
-        nid = child
+        behavior = profile[node.speaker]
+        # labels are strings, so a missing choice finds no edge either
+        nid = node.edges.get(behavior.choices.get(nid)) or follow(behavior, nid, node)
+
+
+def follow(behavior: Behavior, nid: str, node: InternalNode) -> str:
+    """The child of internal node ``nid`` that ``behavior`` sends the play to;
+    MechanismError when the behavior has no choice there or names no edge."""
+    choice = behavior.choices.get(nid)
+    if choice is None:
+        raise MechanismError(f"behavior of player {node.speaker} undefined at node {nid!r}")
+    child = node.edges.get(choice)
+    if child is None:
+        raise MechanismError(f"label {choice!r} does not exist at node {nid!r}")
+    return child
 
 
 def attainable(tree: MechanismTree, player: int, behavior: Behavior, nid: str) -> bool:

@@ -194,25 +194,28 @@ def _partitions(elements: tuple) -> list:
     Restricted-growth strings enumerated lexicographically; blocks come out
     ordered by their smallest element.
     """
-    n = len(elements)
     out = []
-    rgs = [0] * n
-
-    def rec(i: int, maxval: int) -> None:
-        if i == n:
-            if maxval >= 1:
-                blocks = [[] for _ in range(maxval + 1)]
-                for pos, b in enumerate(rgs):
-                    blocks[b].append(elements[pos])
-                out.append(tuple(tuple(b) for b in blocks))
-            return
-        for b in range(maxval + 2):
-            rgs[i] = b
-            rec(i + 1, max(maxval, b))
-
-    if n >= 2:
-        rec(1, 0)
+    if len(elements) < 2:
+        return out
+    for rgs in _growth_strings(len(elements), (0,), 0):
+        top = max(rgs)
+        if top >= 1:
+            blocks = [[] for _ in range(top + 1)]
+            for x, b in zip(elements, rgs):
+                blocks[b].append(x)
+            out.append(tuple(map(tuple, blocks)))
     return out
+
+
+def _growth_strings(n: int, prefix: tuple, top: int):
+    """Restricted-growth strings of length ``n`` that extend ``prefix``, whose
+    largest entry is ``top``, in lexicographic order.  A module-level generator,
+    not a closure over itself: a call leaves no reference cycle for the collector."""
+    if len(prefix) == n:
+        yield prefix
+        return
+    for b in range(top + 2):
+        yield from _growth_strings(n, prefix + (b,), max(top, b))
 
 
 class _BudgetExceeded(Exception):

@@ -35,7 +35,7 @@ from ospcheck import (
     welfare_ratio,
 )
 from ospcheck import checkers
-from ospcheck.model import MechanismTree
+from ospcheck.model import MechanismError, MechanismTree
 
 from helpers import (
     MIXED_LEVELS,
@@ -316,6 +316,151 @@ def test_scan_bad_leaf_good_leaf_matches_definition_oracle():
     assert all(scan_bad_leaf_good_leaf(*b.checker_args()) == [] for b in references)
     assert all(scan_bad_leaf_good_leaf(*rotated_plans(b).checker_args()) for b in references)
     assert found > 1000
+
+
+def reference_bundles() -> dict:
+    """The reference mechanisms the benchmark checks, by name."""
+    return {
+        "posted-price-ca22": serial_posted_price(1, 3, AuctionSetting(kind="combinatorial", n=2, m=2)),
+        "ascending-k6-n3": ascending_single_item(6, n=3),
+        "grand-bundle-k12": grand_bundle_ascending(MU22, 12),
+        "grand-bundle-k16-adversarial": grand_bundle_ascending(
+            MU22, 16, domain=adversarial_domain(MU22, "mu-single-minded")),
+    }
+
+
+def test_large_tree_witnesses_pinned():
+    """First OSP and DSIC witnesses and the bad-leaf lists of the reference trees
+    under rotated plans, byte for byte: on the full domain and with each player
+    held to each one of her valuations, so that many leaves tie.  The digests
+    were taken from the whole-tree min/max tables the leaf slices replaced."""
+    pins = {
+        "posted-price-ca22": (
+            "324778e9a17f24c3d27b14f0cfdcfb5791caa7f92fd0e714e51b90df71e00233",
+            "c6e27c0b92a888f3abaf8b784460f70b614da070fea5c462a3c6b2c712c66c60",
+            "976a3dc11d747252816defb4d716226bfef2f24a3a32057d6280b25c837b68e5",
+        ),
+        "ascending-k6-n3": (
+            "09088269cc625b2681ddaf8ac3ac411edac106d0395ff0fc1c1174127e47cd3c",
+            "e987caca46dac83f22015424ca238704f56ea790872b35886bdf139cb56922e7",
+            "7de4d345dc36c1d662fb603620a6a8dc15e4044834f7d28f6e42a9264ff19c86",
+        ),
+        "grand-bundle-k12": (
+            "a18121e317626d2b22024acd5f30e19ca5e4426411630aa0908cd93173617c82",
+            "865c648ebd14b4766fbf47239bd6958b13602e45cde425cbe8dc6cc0824535d6",
+            "1132ad77830e8637550707110bc18d1f12975a026f616b9ddde9335faa417c7a",
+        ),
+        "grand-bundle-k16-adversarial": (
+            "a8a4a2d077fb6873b7e1549c1087bafc489879847a52d07660083eae93a1c9de",
+            "5b3b6ffdedabf6e1e986cad4e0f6dd854e174ab9aba16b60be695d0de1adbe14",
+            "9a1cf19cc2398ebdcf7b8ac120abe4b746814f4268f6a7a9f0c8102eb83f8bdb",
+        ),
+    }
+    for name, bundle in reference_bundles().items():
+        tree, strategies, dom = rotated_plans(bundle).checker_args()
+        players = dom.players
+        domains = [dom] + [
+            Domain(setting=tree.setting, players=players[:i] + ((v,),) + players[i + 1:])
+            for i, vs in enumerate(players) for v in vs
+        ]
+        digests = []
+        for chk in (check_osp, check_dsic, scan_bad_leaf_good_leaf):
+            digest = hashlib.sha256()
+            for d in domains:
+                digest.update(repr(chk(tree, strategies, d)).encode() + b"\n")
+            digests.append(digest.hexdigest())
+        assert tuple(digests) == pins[name], name
+
+
+def test_bad_plan_raises_run_messages():
+    """A plan naming a missing label, or missing a reachable own node, fails
+    every checker with the message ``run()`` gives.  ``check_dsic`` still
+    raises after ``check_osp`` raised on the same tree: no answer was kept."""
+    fig1 = second_price_single_item(2)
+    tree, strategies, dom = fig1.checker_args()
+    v = dom.players[0][0]
+    good = strategies[0][v]
+    cases = [
+        ({**good.choices, "N1": "nope"}, "label 'nope' does not exist at node 'N1'"),
+        ({k: x for k, x in good.choices.items() if k != "N1"},
+         "behavior of player 0 undefined at node 'N1'"),
+    ]
+    checks = (check_osp, check_dsic, check_ir, check_nnt, welfare_ratio, scan_bad_leaf_good_leaf)
+    for choices, message in cases:
+        bad = ({**strategies[0], v: Behavior(owner=0, choices=choices)}, strategies[1])
+        for chk in checks:
+            with pytest.raises(MechanismError, match=message):
+                chk(tree, bad, dom)
+        assert repr(check_osp(tree, strategies, dom)) == repr(check_osp(_fresh(tree), strategies, dom))
+
+
+def test_stored_answers_match_a_fresh_tree():
+    """``check_dsic`` after ``check_osp`` on one tree reads the answers
+    ``check_osp`` kept, and gives what it gives on a tree that kept none."""
+    rng = random.Random(1414)
+    bundles = [random_instance(rng) for _ in range(200)]
+    references = list(reference_bundles().values())
+    bundles += references + [rotated_plans(b) for b in references]
+    failed = 0
+    for bundle in bundles:
+        tree, strategies, dom = bundle.checker_args()
+        osp = check_osp(tree, strategies, dom)
+        failed += not osp.passed
+        assert repr(check_dsic(tree, strategies, dom)) == repr(check_dsic(_fresh(tree), strategies, dom))
+        assert repr(check_osp(tree, strategies, dom)) == repr(osp)
+    assert 50 < failed < len(bundles)
+
+
+def test_stored_answers_follow_the_plans():
+    """Replacing a plan, or changing its ``choices`` in place, between two
+    calls on one tree gives the verdicts of a fresh tree."""
+    rng = random.Random(1515)
+    changed = 0
+    for _ in range(150):
+        bundle = random_instance(rng)
+        tree, strategies, dom = bundle.checker_args()
+        players = dom.players
+        i = rng.randrange(len(players))
+        v = rng.choice(players[i])
+        own = tree.nodes_of(i)
+        if not own:
+            continue
+        for chk in (check_osp, check_dsic):
+            chk(tree, strategies, dom)
+        nid = rng.choice(own)
+        label = rng.choice(sorted(tree.nodes[nid].edges))
+        replaced = ({**strategies[i], v: Behavior(owner=i, choices={**strategies[i][v].choices,
+                                                                    nid: label})},)
+        replaced = strategies[:i] + replaced + strategies[i + 1:]
+        before = [repr(chk(_fresh(tree), strategies, dom)) for chk in (check_osp, check_dsic)]
+        for plans in (replaced, strategies):
+            want = [repr(chk(_fresh(tree), plans, dom)) for chk in (check_osp, check_dsic)]
+            assert [repr(chk(tree, plans, dom)) for chk in (check_osp, check_dsic)] == want
+        strategies[i][v].choices[nid] = label
+        want = [repr(chk(_fresh(tree), strategies, dom)) for chk in (check_osp, check_dsic)]
+        assert [repr(chk(tree, strategies, dom)) for chk in (check_osp, check_dsic)] == want
+        changed += want != before
+    assert changed >= 10
+
+
+def test_osp_then_dsic_answer_each_plan_once(monkeypatch):
+    """On the K=16 adversarial clock, ``check_osp`` then ``check_dsic`` decide
+    each (player, valuation) at most once."""
+    gb = grand_bundle_ascending(MU22, 16, domain=adversarial_domain(MU22, "mu-single-minded"))
+    tree, strategies, dom = gb.checker_args()
+    calls = collections.Counter()
+    decide = checkers._osp_violation
+
+    def counted(tree, player, behavior, utils):
+        calls[player, id(utils)] += 1
+        return decide(tree, player, behavior, utils)
+
+    monkeypatch.setattr(checkers, "_osp_violation", counted)
+    assert check_osp(tree, strategies, dom).passed
+    assert check_dsic(tree, strategies, dom).passed
+    pairs = sum(len(vs) for vs in dom.players)
+    assert sum(calls.values()) == pairs
+    assert set(calls.values()) == {1}
 
 
 def test_dsic_witnesses_pinned():

@@ -1,6 +1,7 @@
 """Search engine: stream counts, scan and oracle agreement, verdict plumbing."""
 
 import functools
+import gc
 import hashlib
 import time
 from fractions import Fraction
@@ -21,7 +22,7 @@ from ospcheck import (
     falsify_impossibility,
     welfare_ratio,
 )
-from ospcheck.search import _Scan
+from ospcheck.search import _Scan, _partitions
 from ospcheck.serialize import serialize_mechanism
 
 from helpers import normalized_stream, oracle_combine, oracle_scan
@@ -307,3 +308,30 @@ def test_verdict_carries_class_description_and_caveat():
     verdict = falsify_impossibility(space, Fraction(2))
     assert "normalized" in verdict.class_description
     assert "grid" in verdict.caveat
+
+
+def test_partitions_pinned():
+    """Partitions into at least two blocks, in restricted-growth order: Bell(k) - 1
+    of them for k elements, pinned by SHA-256 for 1 to 5 elements."""
+    assert [len(_partitions(tuple(range(k)))) for k in range(1, 6)] == [0, 1, 4, 14, 51]
+    assert _partitions((0, 1, 2)) == [
+        ((0, 1), (2,)), ((0, 2), (1,)), ((0,), (1, 2)), ((0,), (1,), (2,)),
+    ]
+    digest = hashlib.sha256(repr([_partitions(tuple(range(k))) for k in range(1, 6)]).encode())
+    assert digest.hexdigest() == "893652573f657d87f9f46a033fc450fd659ec16408728897805c73eb5c2c7db7"
+
+
+def test_scan_leaves_no_reference_cycle():
+    """With the cyclic collector off, a scan leaves nothing for it to collect."""
+    space = SearchSpace(
+        domain=adversarial_domain(MU22, "mu-single-minded"),
+        payment_grid=(Fraction(0), Fraction(1), Fraction(5)),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        verdict = falsify_impossibility(space, Fraction(2), audit_survivors=False)
+        assert verdict.outcome == "counterexample"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
