@@ -34,7 +34,7 @@ from .structure import audit_ascending_structure
 from .valuations import ValuationError, adversarial_domain, restricted_additive_domain
 
 CHECKS = {"osp": check_osp, "dsic": check_dsic, "ir": check_ir, "nnt": check_nnt}
-SEARCH_CONFIG_KEYS = ("domain", "target_ratio", "grid", "max_depth", "budget_seconds")
+SEARCH_CONFIG_KEYS = ("domain", "target_ratio", "grid", "budget_seconds")
 
 
 class UsageError(Exception):
@@ -73,6 +73,8 @@ def _emit(report: ReportDocument, fmt: str) -> None:
 def _cmd_verify(args) -> int:
     report = ReportDocument(command="verify")
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if not names:
+        raise UsageError(f"no check named (choose from {', '.join(CHECKS)})")
     unknown = [c for c in names if c not in CHECKS]
     if unknown:
         raise UsageError(f"unknown checks: {', '.join(unknown)} (choose from {', '.join(CHECKS)})")
@@ -160,15 +162,12 @@ def _cmd_search(args) -> int:
         raise UsageError("search needs --target-ratio P/Q or a target_ratio config entry")
     target = _parse_fraction(target, "target ratio")
 
-    depth = args.max_depth
-    if depth is None:
-        depth = _config_entry(config, "max_depth", (int,), "an integer")
     budget = args.budget
     if budget is None:
         budget = _config_entry(config, "budget_seconds", (int, float), "a number")
 
     try:
-        space = SearchSpace(domain=domain, payment_grid=grid, max_depth=depth)
+        space = SearchSpace(domain=domain, payment_grid=grid)
         verdict = falsify_impossibility(space, target, budget_seconds=budget)
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -257,7 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", help="domain file")
     p.add_argument("--target-ratio", help="scan for mechanisms strictly below this ratio (P/Q)")
     p.add_argument("--grid", help="comma list of payment levels (default: impossibility-argument thresholds)")
-    p.add_argument("--max-depth", type=int, help="tree depth cap (default: total valuation count)")
     p.add_argument("--budget", type=float, help="time budget in seconds (default: unlimited)")
     common(p)
     p.set_defaults(func=_cmd_search)

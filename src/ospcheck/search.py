@@ -20,10 +20,9 @@ membership (Mackenzie, *A revelation principle for obviously strategy-proof
 implementation*, GEB 2020); a node with one block constrains nothing and is
 contracted.  Outcomes, hence IR, NNT and the welfare ratio on the domain,
 are unchanged, and every kept node splits some consistent set, so a path
-has at most sum(|V_i| - 1) internal nodes and the default depth cap
-sum(|V_i|) cuts nothing.  Left open: payments off the grid, trees deeper
-than an explicit ``max_depth`` below that bound, and valuations outside the
-domain supplied.
+has at most sum(|V_i| - 1) internal nodes: the class needs no depth cap.
+Left open: payments off the grid, and valuations outside the domain
+supplied.
 
 ``falsify_impossibility`` counts the class by equivalence class instead of
 building its members (``_Scan``).  Leaves whose payments would break
@@ -75,14 +74,14 @@ whose union is every profile reaching the tree, so the fold is the verdict
 over those profiles.
 
 Stream order is that of a depth-first walk of the class.  At a position
-and a remaining depth it first lists every leaf: the valid allocations in
-``enumerate_allocations`` order, each with every grid payment vector in
-product order.  Then, if depth remains, for each player in index order whose
+(the players' consistent sets) it first lists every leaf: the valid
+allocations in ``enumerate_allocations`` order, each with every grid payment
+vector in product order.  Then, for each player in index order whose
 consistent set holds two or more valuations, and for each partition of that
 set into two or more blocks (restricted-growth strings in lexicographic
 order, blocks ordered by their smallest valuation), it lists every choice
 of one subtree per block, the first block's subtree varying slowest, each
-at the position where that player's set is the block, one level deeper.
+at the position where that player's set is the block.
 Block t is sent as message ``str(t)``, node ids ``u0, u1, ...`` follow
 preorder, and a plan sends the label of the block holding its valuation,
 else ``"0"``.
@@ -108,7 +107,7 @@ from typing import Iterator, Optional
 
 from .checkers import _mu_fixture_profiles, scaled_values, welfare_optima
 from .mechanisms import MechanismBundle
-from .model import Behavior, InternalNode, Leaf, MechanismTree
+from .model import Behavior, InternalNode, Leaf, MechanismTree, read_rational
 from .valuations import Domain
 
 GRID_CAVEAT = (
@@ -137,30 +136,31 @@ def default_payment_grid(setting) -> tuple:
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Domain, payment grid and depth cap delimiting the search class."""
+    """Domain and payment grid delimiting the search class.
+
+    Grid levels are exact rationals (``model.read_rational``).  A player may
+    not list one valuation twice: plans are keyed by valuation, so both
+    copies would share one plan and the class would hold trees that no
+    strategy table can express."""
 
     domain: Domain
     payment_grid: tuple
-    max_depth: Optional[int] = None
 
     def __post_init__(self):
-        grid = tuple(sorted({Fraction(p) for p in self.payment_grid}))
+        grid = tuple(sorted(set(map(read_rational, self.payment_grid))))
         if not grid:
             raise ValueError("payment grid must be nonempty")
         object.__setattr__(self, "payment_grid", grid)
-        if self.max_depth is None:
-            object.__setattr__(
-                self, "max_depth", sum(len(vs) for vs in self.domain.players)
-            )
-        if self.max_depth < 0:
-            raise ValueError("max depth must be nonnegative")
+        for i, vs in enumerate(self.domain.players):
+            if len(set(vs)) != len(vs):
+                raise ValueError(f"player {i} lists a valuation twice; search needs distinct ones")
 
     def describe(self) -> str:
         sizes = "x".join(str(len(vs)) for vs in self.domain.players)
         grid = ", ".join(f"{p.numerator}/{p.denominator}" for p in self.payment_grid)
         return (
             f"normalized partition-message mechanisms over a {sizes} domain, "
-            f"depth <= {self.max_depth}, all valid allocations, payments in {{{grid}}}"
+            f"all valid allocations, payments in {{{grid}}}"
         )
 
 
@@ -173,7 +173,7 @@ class SearchVerdict:
     the number of those that also beat the target.  Both are 0 on
     ``budget-exhausted``, since counts exist only at the root; how far such
     a scan got is in ``progress``: ``positions_done``, the memo positions
-    (consistent sets and remaining depth) whose class lists were finished,
+    (the players' consistent sets) whose class lists were finished,
     and ``join_steps``, the leaves built plus the join candidates tested.
     """
 
@@ -242,19 +242,20 @@ class _Scan:
     player i's row of values for her bundle in the ai-th allocation.
 
     Class entry layout: (summary, flags, count, descriptor) where summary is
-    a per-player tuple of rows and flags is (beats_target, beats_minmn,
+    a per-player tuple of row ids, interned in ``row_ids`` (``row_of[id]``
+    gives the row back), and flags is (beats_target, beats_minmn,
     low_bound_violation, square_bound_violation).  A player's row holds one
     (rmin, emax) pair per valuation, except that it is empty while the
     player's consistent set is still full: such a player has not spoken on
     the path from the root, so no ancestor ever compares that row.
 
-    Each memo entry is (classes, join_index, row_ids, rests).  join_index
-    maps a speaker to the bitset tables ``_combine`` uses when that list is
-    joined as a later child of a node where the speaker speaks; row_ids
-    gives each class's summary as ids of interned rows; rests maps a speaker
-    to each class's rest id.  A rest is a class's rows other than the
-    speaker's, as ids, with its flags, interned too, so the join hashes and
-    folds small ints through memoized fold tables.
+    The memo maps a position, the players' consistent sets as bitmasks, to
+    the entry (classes, join_index, rests).  join_index maps a speaker to
+    the bitset tables ``_combine`` uses when that list is joined as a later
+    child of a node where the speaker speaks; rests maps a speaker to each
+    class's rest id.  A rest is a class's row ids other than the speaker's,
+    with its flags, interned too, so the join hashes and folds small ints
+    through memoized fold tables.
     Counts are Python ints: they pass 2**63 on 5 x 5 domains.
     """
 
@@ -282,8 +283,6 @@ class _Scan:
             stride *= self.sizes[i]
         self._build_predicates(target)
 
-        self._leaf_cache: dict = {}
-        self._covered_cache: dict = {}
         self._partition_cache: dict = {}
         self.memo: dict = {}
         self.work = 0
@@ -323,12 +322,12 @@ class _Scan:
             self.low_bit, self.spike_bit = 1 << low, 1 << spike
         self.square = max(self.setting.m, self.setting.n) ** 2 * self.scale
 
-    def leaf_flags(self, masks: tuple, ai: int, pays: tuple) -> tuple:
-        """(beats_target, beats_minmn, low_viol, square_viol) of a leaf at
-        ``masks``: the ratio flags hold on every profile the leaf covers; a
-        violation is a winner at the all-one profile paying more than 1, or a
-        winner of all m units at the spike profile paying more than k^2."""
-        covered = self._covered(masks)
+    def leaf_flags(self, covered: int, ai: int, pays: tuple) -> tuple:
+        """(beats_target, beats_minmn, low_viol, square_viol) of a leaf
+        covering the profile bitset ``covered``: the ratio flags hold on every
+        profile the leaf covers; a violation is a winner at the all-one
+        profile paying more than 1, or a winner of all m units at the spike
+        profile paying more than k^2."""
         alloc = self.allocations[ai]
         low_viol = bool(covered & self.low_bit) and any(
             alloc[i] and pays[i] > self.scale for i in range(self.n)
@@ -343,37 +342,27 @@ class _Scan:
             square_viol,
         )
 
-    # -- cached per-context tables -------------------------------------
+    # -- per-position tables ---------------------------------------------
 
     def _covered(self, masks: tuple) -> int:
         """Bitset of the profiles whose valuations all lie in ``masks``."""
-        got = self._covered_cache.get(masks)
-        if got is None:
-            axes = []
-            for i, mask in enumerate(masks):
-                axes.append([vi for vi in range(self.sizes[i]) if mask >> vi & 1])
-            got = 0
-            for combo in itertools.product(*axes):
-                got |= 1 << sum(vi * self.strides[i] for i, vi in enumerate(combo))
-            self._covered_cache[masks] = got
+        axes = [[vi for vi in range(c) if mask >> vi & 1] for mask, c in zip(masks, self.sizes)]
+        got = 0
+        for combo in itertools.product(*axes):
+            got |= 1 << sum(vi * self.strides[i] for i, vi in enumerate(combo))
         return got
 
-    def _leaf_options(self, masks: tuple) -> list:
+    def _leaf_options(self, masks: tuple) -> Iterator[tuple]:
         """Leaves at ``masks`` that keep IR and NNT on every covered profile:
         each payment lies between 0 and the payer's least value there."""
-        got = self._leaf_cache.get(masks)
-        if got is None:
-            got = []
-            for ai, rows in enumerate(self.rows):
-                self._check_deadline()
-                per_player = []
-                for mask, row in zip(masks, rows):
-                    cap = min(x for vi, x in enumerate(row) if mask >> vi & 1)
-                    per_player.append([p for p in self.grid if 0 <= p <= cap])
-                for pays in itertools.product(*per_player):
-                    got.append((ai, pays))
-            self._leaf_cache[masks] = got
-        return got
+        for ai, rows in enumerate(self.rows):
+            self._check_deadline()
+            per_player = []
+            for mask, row in zip(masks, rows):
+                cap = min(x for vi, x in enumerate(row) if mask >> vi & 1)
+                per_player.append([p for p in self.grid if 0 <= p <= cap])
+            for pays in itertools.product(*per_player):
+                yield ai, pays
 
     def _mask_partitions(self, mask: int) -> list:
         got = self._partition_cache.get(mask)
@@ -443,18 +432,15 @@ class _Scan:
 
     def _leaf_summary(self, masks: tuple, ai: int, pays: tuple) -> tuple:
         return tuple(
-            () if mask == full
-            else tuple((u if mask >> vi & 1 else _BIG, u) for vi, u in enumerate(x - pay for x in row))
+            self.row_ids[() if mask == full else tuple(
+                (u if mask >> vi & 1 else _BIG, u) for vi, u in enumerate(x - pay for x in row)
+            )]
             for mask, full, row, pay in zip(masks, self.full, self.rows[ai], pays)
         )
 
-    def classes(self, masks: tuple, depth: int) -> tuple:
-        """Memo entry (classes, join_index, row_ids, rests) for every subtree at ``masks``."""
-        # beyond full refinement of every consistent set, extra depth adds
-        # no trees; collapsing the key avoids recomputing identical lists
-        refinement = sum(max(bin(m).count("1") - 1, 0) for m in masks)
-        key = (masks, min(depth, refinement))
-        got = self.memo.get(key)
+    def classes(self, masks: tuple) -> tuple:
+        """Memo entry (classes, join_index, rests) for every subtree at ``masks``."""
+        got = self.memo.get(masks)
         if got is not None:
             return got
         self._check_deadline()
@@ -467,51 +453,45 @@ class _Scan:
             else:
                 entry[2] += count
 
+        covered = self._covered(masks)
         for ai, pays in self._leaf_options(masks):
             self._tick(1)
-            flags = self.leaf_flags(masks, ai, pays)
+            flags = self.leaf_flags(covered, ai, pays)
             if not self.beating_only or flags[0]:
                 insert(self._leaf_summary(masks, ai, pays), flags, 1, ("leaf", ai, pays))
-        if depth >= 1:
-            for j in range(self.n):
-                if bin(masks[j]).count("1") < 2:
-                    continue
-                for blocks in self._mask_partitions(masks[j]):
-                    children = [
-                        self.classes(masks[:j] + (block,) + masks[j + 1:], depth - 1)
-                        for block in blocks
-                    ]
-                    self._combine(j, blocks, children, masks, insert)
+        for j in range(self.n):
+            if bin(masks[j]).count("1") < 2:
+                continue
+            for blocks in self._mask_partitions(masks[j]):
+                children = [self.classes(masks[:j] + (block,) + masks[j + 1:]) for block in blocks]
+                self._combine(j, blocks, children, masks, insert)
         # first-encounter (insertion) order makes the stored representative of
         # each class the stream-first member, so counterexamples match the stream
-        classes = [tuple(entry) for entry in table.values()]
-        got = (classes, {}, [tuple(map(self.row_ids.__getitem__, c[0])) for c in classes], {})
-        self.memo[key] = got
+        got = self.memo[masks] = ([tuple(entry) for entry in table.values()], {}, {})
         return got
 
     def _join_index(self, child: tuple, j: int) -> tuple:
         """(by_emax, by_neg_rmin): per valuation of speaker ``j``, tables for
         ``_at_most`` over the child's classes by emax and by negated rmin."""
-        classes, join_index, _, _ = child
+        classes, join_index, _ = child
         got = join_index.get(j)
         if got is None:
+            rows = [self.row_of[c[0][j]] for c in classes]
             by_emax, by_neg_rmin = [], []
             for vi in range(self.sizes[j]):
                 self._check_deadline()
-                by_emax.append(_threshold_table([c[0][j][vi][1] for c in classes]))
-                by_neg_rmin.append(_threshold_table([-c[0][j][vi][0] for c in classes]))
+                by_emax.append(_threshold_table([row[vi][1] for row in rows]))
+                by_neg_rmin.append(_threshold_table([-row[vi][0] for row in rows]))
             got = join_index[j] = (by_emax, by_neg_rmin)
         return got
 
     def _rests(self, child: tuple, j: int) -> list:
         """Per class of ``child``, the id of its rest for speaker ``j``: the
         other players' row ids and the flags."""
-        classes, _, row_ids, rests = child
+        classes, _, rests = child
         got = rests.get(j)
         if got is None:
-            got = rests[j] = [
-                self.rest_ids[ids[:j] + ids[j + 1:], c[1]] for c, ids in zip(classes, row_ids)
-            ]
+            got = rests[j] = [self.rest_ids[c[0][:j] + c[0][j + 1:], c[1]] for c in classes]
         return got
 
     def _combine(self, j: int, blocks: tuple, children: list, masks: tuple, insert) -> None:
@@ -545,11 +525,10 @@ class _Scan:
         members = [[vi for vi in range(self.sizes[j]) if b >> vi & 1] for b in blocks]
         row_of, fold_rows, fold_rests = self.row_of, self.fold_rows, self.fold_rests
         empty = self.row_ids[()] if masks[j] == self.full[j] else None
-        first, _, first_rows, _ = children[0]
-        groups = [(rows[j], rest, c[2], (c[3],))
-                  for c, rows, rest in zip(first, first_rows, self._rests(children[0], j))]
+        groups = [(c[0][j], rest, c[2], (c[3],))
+                  for c, rest in zip(children[0][0], self._rests(children[0], j))]
         for t in range(1, len(blocks)):
-            candidates, _, cand_rows, _ = children[t]
+            candidates = children[t][0]
             by_emax, by_neg_rmin = self._join_index(children[t], j)
             rests = self._rests(children[t], j)
             earlier = [vi for block in members[:t] for vi in block]
@@ -571,8 +550,8 @@ class _Scan:
                     for tested, i in enumerate(_set_bits(bits), 1):
                         if not tested & 4095:
                             self._check_deadline()
-                        _, _, cand_count, desc = candidates[i]
-                        key = (empty if drop else fold_own[cand_rows[i][j]], rests[i])
+                        cand_ids, _, cand_count, desc = candidates[i]
+                        key = (empty if drop else fold_own[cand_ids[j]], rests[i])
                         entry = collapsed.get(key)
                         if entry is None:
                             collapsed[key] = [cand_count, desc]
@@ -595,8 +574,7 @@ class _Scan:
             groups = [(own, rest, count, prefix) for (own, rest), (count, prefix) in level.items()]
         for own, rest, count, prefix in groups:
             others, flags = self.rest_ids.of[rest]
-            summary = tuple(map(row_of.__getitem__, others[:j] + (own,) + others[j:]))
-            insert(summary, flags, count, ("node", j, blocks, prefix))
+            insert(others[:j] + (own,) + others[j:], flags, count, ("node", j, blocks, prefix))
 
 
 class _Ids(dict):
@@ -724,7 +702,7 @@ def falsify_impossibility(
     audit are not collected (examined then counts candidate counterexamples
     only).
     """
-    target = Fraction(target_ratio)
+    target = read_rational(target_ratio)
     if target <= 1:
         raise ValueError("target ratio must exceed 1")
     if budget_seconds is not None and not budget_seconds >= 0:
@@ -742,7 +720,7 @@ def falsify_impossibility(
     examined = 0
     counterexample = None
     try:
-        root = scan.classes(scan.full, space.max_depth)[0]
+        root = scan.classes(scan.full)[0]
     except _BudgetExceeded:
         outcome = "budget-exhausted"
     else:

@@ -312,7 +312,8 @@ def oracle_combine(agg, j, blocks, children, masks, insert) -> None:
     A drop-in for ``_Scan._combine`` (bind ``agg``): compatible choices
     are found with the scan's bitset tables, visited lowest bit first,
     and each complete combination is merged row by row and inserted, so
-    classes arrive in stream order with no grouping of prefixes.
+    classes arrive in stream order with no grouping of prefixes.  Rows are
+    read through ``agg.row_of`` and merged rows interned in ``agg.row_ids``.
     """
     from ospcheck.search import _BIG, _at_most, _fold_flags, _set_bits
 
@@ -326,10 +327,11 @@ def oracle_combine(agg, j, blocks, children, masks, insert) -> None:
 
     def merge(parts):
         out = []
-        for jj, rows in enumerate(zip(*parts)):
+        for jj, ids in enumerate(zip(*parts)):
             if masks[jj] == agg.full[jj]:
-                out.append(())
+                out.append(agg.row_ids[()])
                 continue
+            rows = [agg.row_of[x] for x in ids]
             row = []
             for vi, pairs in enumerate(zip(*rows)):
                 rmins, emaxs = zip(*pairs)
@@ -338,7 +340,7 @@ def oracle_combine(agg, j, blocks, children, masks, insert) -> None:
                 else:
                     rmin = min(rmins)
                 row.append((rmin, max(emaxs)))
-            out.append(tuple(row))
+            out.append(agg.row_ids[tuple(row)])
         return tuple(out)
 
     # allowed[k] is the candidate bitset of level t + k given chosen[:t]
@@ -352,7 +354,7 @@ def oracle_combine(agg, j, blocks, children, masks, insert) -> None:
             return
         for i in _set_bits(allowed[0]):
             cand = lists[t][i]
-            row = cand[0][j]
+            row = agg.row_of[cand[0][j]]
             narrowed = []
             for u in range(t + 1, last):
                 bits = allowed[u - t]
@@ -395,7 +397,7 @@ def normalized_stream(space):
 
     A depth-first walk over positions, the players' consistent sets of
     valuations: first every leaf (valid allocations in order, each with every
-    vector of grid payments), then, while depth remains, for each player
+    vector of grid payments), then, for each player
     whose set has two or more valuations and each partition of it into two
     or more blocks, every choice of one subtree per block at the position
     where her set is that block, the first block's subtree varying slowest.
@@ -412,22 +414,20 @@ def normalized_stream(space):
         for payments in itertools.product(space.payment_grid, repeat=setting.n)
     ]
 
-    def subtrees(consistent, depth):
+    def subtrees(consistent):
         yield from leaves
-        if depth < 1:
-            return
         for j, vs in enumerate(consistent):
             for blocks in _set_partitions(vs):
-                for subs in children(consistent, j, blocks, depth - 1):
+                for subs in children(consistent, j, blocks):
                     yield ("node", j, blocks, subs)
 
-    def children(consistent, j, blocks, depth):
+    def children(consistent, j, blocks):
         if not blocks:
             yield ()
             return
         below = consistent[:j] + (blocks[0],) + consistent[j + 1:]
-        for sub in subtrees(below, depth):
-            for rest in children(consistent, j, blocks[1:], depth):
+        for sub in subtrees(below):
+            for rest in children(consistent, j, blocks[1:]):
                 yield (sub,) + rest
 
     def build(desc):
@@ -454,7 +454,7 @@ def normalized_stream(space):
         )
         return MechanismBundle(tree=tree, strategies=strategies, domain=domain)
 
-    for desc in subtrees(tuple(players), space.max_depth):
+    for desc in subtrees(tuple(players)):
         yield build(desc)
 
 

@@ -247,6 +247,12 @@ def test_literal_scan_headline_totals(literal_scan):
     assert digest == "44d0bde188507bf21e8ebb71ef6a93586cb7a81311b2d96c53518dbb5fcde82a"
 
 
+def test_literal_scan_progress(literal_scan):
+    """How far the headline scan went: one memo position per reachable
+    tuple of the players' consistent sets, and its leaves and join steps."""
+    assert literal_scan.progress == {"positions_done": 49, "join_steps": 3_338_775}
+
+
 def test_criterion_7_low_profile_payment_bound(literal_scan):
     audit = literal_scan.audit
     ok = (

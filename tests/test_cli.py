@@ -180,6 +180,24 @@ def test_search_budget_exhausted_reports_progress(tmp_path, capsys):
     assert item["progress"] == {"positions_done": 0, "join_steps": 0}
 
 
+def test_search_rejects_repeated_valuations(tmp_path, capsys):
+    # plans are keyed by valuation, so the search cannot give two copies of
+    # one valuation different plans; the domain itself stays valid
+    from fractions import Fraction
+
+    from ospcheck import AuctionSetting, Domain, SingleMindedMU
+    from ospcheck.serialize import serialize_domain
+
+    mu = AuctionSetting(kind="multi-unit", n=2, m=2)
+    one = SingleMindedMU(1, Fraction(1))
+    domain_path = tmp_path / "dom.json"
+    domain_path.write_text(serialize_domain(Domain(setting=mu, players=((one, one), (one,)))))
+    code, out, err = run_cli(capsys, "search", "--domain", str(domain_path),
+                             "--target-ratio", "2", "--grid", "0,1")
+    assert code == 2 and not out
+    assert err.startswith("ospcheck: error:") and "player 0 lists a valuation twice" in err
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--mechanism", "/no/such/file.json")
     assert code == 2
@@ -187,6 +205,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "verify", "--mechanism", FIG1, "--checks", "bogus")
     assert code == 2
+    for checks in ("", ","):
+        code, out, err = run_cli(capsys, "verify", "--mechanism", FIG1, "--checks", checks)
+        assert code == 2 and "no check named" in err and not out
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     code, _, err = run_cli(capsys, "verify", "--mechanism", str(bad))
@@ -200,18 +221,21 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     domain_path = tmp_path / "dom.json"
     domain_path.write_text(serialize_domain(adversarial_domain(mu, "mu-single-minded")))
     search = ["search", "--domain", str(domain_path), "--target-ratio", "2"]
-    code, _, err = run_cli(capsys, *search, "--grid", "0,1", "--max-depth", "-1")
-    assert code == 2 and "depth" in err
+    # the class needs no depth cap, so there is no --max-depth flag
+    code, _, err = run_cli(capsys, *search, "--grid", "0,1", "--max-depth", "3")
+    assert code == 2 and "--max-depth" in err
     code, _, err = run_cli(capsys, *search, "--grid", "0,1", "--no-prune")
     assert code == 2 and "--no-prune" in err
     # wrongly typed entries, and unknown ones: a stale switch or a misspelt key
-    entries = ({"max_depth": "3"}, {"budget_seconds": "5"}, {"grid": 5},
-               {"prune": False}, {"budget": 5})
+    entries = ({"budget_seconds": "5"}, {"grid": 5}, {"prune": False}, {"budget": 5})
     for entry in entries:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(entry))
         code, _, err = run_cli(capsys, *search, "--config", str(config))
         assert code == 2 and repr(next(iter(entry))) in err
+    config.write_text('{"max_depth": 3}')  # no depth cap in the config either
+    code, _, err = run_cli(capsys, *search, "--config", str(config))
+    assert code == 2 and "unknown search config entry 'max_depth'" in err
     # a NaN budget is never reached, a negative one is meaningless
     for budget in ("nan", "-1"):
         code, _, err = run_cli(capsys, *search, "--grid", "0,1", "--budget", budget)

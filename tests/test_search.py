@@ -51,17 +51,6 @@ def test_two_valuation_count_closed_form():
     space = SearchSpace(domain=dom, payment_grid=ZERO_GRID)
     bundles = list(normalized_stream(space))
     assert len(bundles) == 2 + 4  # |alloc| + |alloc|^2
-    assert space.max_depth == 2
-
-
-def test_depth_cap_respected():
-    dom = Domain(setting=CA11, players=((val(1), val(2), val(3)),))
-    space = SearchSpace(domain=dom, payment_grid=ZERO_GRID, max_depth=1)
-    bundles = list(normalized_stream(space))
-    assert bundles and all(b.tree.depth <= 1 for b in bundles)
-    # depth 0 forces leaf-only mechanisms
-    space0 = SearchSpace(domain=dom, payment_grid=ZERO_GRID, max_depth=0)
-    assert all(b.tree.depth == 0 for b in normalized_stream(space0))
 
 
 def test_streamed_bundles_are_valid_and_strategies_total():
@@ -145,6 +134,32 @@ def test_space_validation():
         falsify_impossibility(space, Fraction(1))
 
 
+def test_space_reads_exact_rationals():
+    # grid levels and the target are read as the file formats read them: a
+    # float would be stored inexactly (0.1 is not 1/10) and a bool is no number
+    dom = Domain(setting=CA11, players=((val(1),),))
+    assert SearchSpace(domain=dom, payment_grid=(0, "1/10", Fraction(1))).payment_grid == (
+        Fraction(0), Fraction(1, 10), Fraction(1))
+    space = SearchSpace(domain=dom, payment_grid=ZERO_GRID)
+    for bad in (0.1, True, "x"):
+        with pytest.raises(ValueError, match="rational"):
+            SearchSpace(domain=dom, payment_grid=(0, bad))
+    for bad in (2.1, True, "x"):
+        with pytest.raises(ValueError, match="rational"):
+            falsify_impossibility(space, bad)
+
+
+def test_space_rejects_repeated_valuations():
+    # plans are keyed by valuation, so two copies of one valuation share a
+    # plan: the scan would count trees that no strategy table expresses
+    one, five = SingleMindedMU(1, Fraction(1)), SingleMindedMU(1, Fraction(5))
+    for players in (((one, one), (one,)), ((one, five, one), (one,)), ((one,), (five, five))):
+        dom = Domain(setting=MU22, players=players)
+        player = next(i for i, vs in enumerate(players) if len(set(vs)) < len(vs))
+        with pytest.raises(ValueError, match=f"player {player} lists a valuation twice"):
+            SearchSpace(domain=dom, payment_grid=(Fraction(0), Fraction(1)))
+
+
 def _sub_space(grid=(Fraction(0), Fraction(1))):
     dom = adversarial_domain(MU22, "mu-single-minded")
     sub = Domain(setting=MU22, players=(dom.players[0], (dom.players[1][0],)))
@@ -220,7 +235,8 @@ def test_aggregated_audit_matches_checkers():
 def test_prefix_join_matches_per_combination_oracle():
     # every memo key's class list, entry by entry (summary, flags, count,
     # descriptor) and in order, against the join that merges each
-    # combination of child classes on its own
+    # combination of child classes on its own; the two scans intern rows in
+    # different orders, so summaries are compared as rows, not as row ids
     dom = adversarial_domain(MU22, "mu-single-minded")
     k = max(MU22.m, MU22.n)
     square = SingleMindedMU(quantity=MU22.m, value=Fraction(k**2))
@@ -247,8 +263,11 @@ def test_prefix_join_matches_per_combination_oracle():
             agg = _Scan(space, Fraction(2), beating_only=beating_only)
             if combine is not None:
                 agg._combine = functools.partial(combine, agg)
-            agg.classes(agg.full, space.max_depth)
-            memos.append({key: entry[0] for key, entry in agg.memo.items()})
+            agg.classes(agg.full)
+            memos.append({
+                key: [(tuple(map(agg.row_of.__getitem__, c[0])),) + c[1:] for c in entry[0]]
+                for key, entry in agg.memo.items()
+            })
         prefix, oracle = memos
         assert prefix.keys() == oracle.keys()
         for key, classes in oracle.items():
