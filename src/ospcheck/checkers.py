@@ -17,7 +17,7 @@ The table holds each player's utilities under each valuation as one list in
 preorder leaf order, and a subtree's leaves are one slice of it
 (``MechanismTree.leaf_span``).  So OSP, DSIC and the bad-leaf scan read the
 best leaf under a message as the max of a slice, and the worst leaf under a
-plan as the min over the plan's leaves in a slice, a run found by bisection.
+plan as the min over a slice of the leaves the plan can realize.
 The obvious-dominance answer for a player, valuation and plan is kept on the
 table, keyed by the plan's labels at the player's nodes, so ``check_dsic``
 after ``check_osp`` on one tree reuses every answer ``check_osp`` computed.
@@ -26,7 +26,6 @@ after ``check_osp`` on one tree reuses every answer ``check_osp`` computed.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -35,7 +34,6 @@ from typing import Optional, Sequence
 from .model import (
     AuctionSetting,
     Behavior,
-    Leaf,
     MechanismTree,
     bundle_contains,
     bundle_is_empty,
@@ -235,23 +233,26 @@ def _off_path(tree: MechanismTree, path: list):
 
 
 def _plan_reach(tree: MechanismTree, player: int, behavior: Behavior):
-    """``(own, leaves)`` while ``player`` follows ``behavior`` and the others roam: her
-    attainable vertices in preorder, and the ``leaf_ids`` positions of the leaves she
-    can realize, ascending.  A choice the plan lacks, or a label the tree lacks, at an
-    attainable vertex raises ``run()``'s MechanismError."""
-    own, leaves = [], []
-    stack = [tree.root]
-    while stack:
-        nid = stack.pop()
-        node = tree.nodes[nid]
-        if isinstance(node, Leaf):
-            leaves.append(tree.leaf_span(nid)[0])
-        elif node.speaker == player:
-            own.append(nid)
-            stack.append(follow(behavior, nid, node))
-        else:
-            stack.extend(reversed(node.edges.values()))
-    return own, leaves
+    """``(own, reach)`` while ``player`` follows ``behavior`` and the others roam.
+    ``own`` lists her attainable vertices in preorder, each as ``(vertex, lo, hi,
+    lo_c, hi_c)``: the leaf spans of the vertex and of the child her plan takes.
+    ``reach`` holds a flag per position of ``leaf_ids``, True when she can realize
+    that leaf.  Her vertices are visited in preorder, so those above a vertex have
+    already cleared the children her plan does not take there: the vertex is
+    attainable exactly when its first leaf is still set.  A choice the plan lacks, or
+    a label the tree lacks, at an attainable vertex raises ``run()``'s MechanismError."""
+    span = tree.leaf_span
+    own, reach = [], [True] * len(tree.leaf_ids)
+    for nid in tree.nodes_of(player):
+        lo, hi = span(nid)
+        if reach[lo]:
+            lo_c, hi_c = span(follow(behavior, nid, tree.nodes[nid]))
+            own.append((nid, lo, hi, lo_c, hi_c))
+            if lo < lo_c:
+                reach[lo:lo_c] = [False] * (lo_c - lo)
+            if hi_c < hi:
+                reach[hi_c:hi] = [False] * (hi - hi_c)
+    return own, reach
 
 
 def _profile_through(tree: MechanismTree, paths, fixed=None) -> tuple:
@@ -286,28 +287,23 @@ def _osp_violation(tree: MechanismTree, player: int, behavior: Behavior, u: list
 
     Below the vertex, the other messages' leaves are the slices of ``u`` left and
     right of the own child's span, and the worst leaf under the plan is the min over
-    the plan's leaves inside that span, one run of ``leaves``.  Ties keep the first
-    leaf in preorder."""
-    own, leaves = _plan_reach(tree, player, behavior)
-    reached = [u[k] for k in leaves]
-    for nid in own:
-        node = tree.nodes[nid]
-        if len(node.edges) < 2:
+    the leaves of that span that ``reach`` keeps.  Ties keep the first leaf in
+    preorder."""
+    own, reach = _plan_reach(tree, player, behavior)
+    for nid, lo, hi, lo_c, hi_c in own:
+        if hi - lo == hi_c - lo_c:  # one message: every child holds a leaf
             continue
-        own_label = behavior.choices[nid]
-        lo, hi = tree.leaf_span(nid)
-        lo_c, hi_c = tree.leaf_span(node.edges[own_label])
         left = u[lo:lo_c]
         best = max(left + u[hi_c:hi])
-        a, b = bisect_left(leaves, lo_c), bisect_left(leaves, hi_c)
-        worst = min(reached[a:b])
+        worst = min(itertools.compress(u[lo_c:hi_c], reach[lo_c:hi_c]))
         if worst < best:
-            worst_leaf = tree.leaf_ids[leaves[reached.index(worst, a, b)]]
+            worst_leaf = tree.leaf_ids[
+                next(k for k in range(lo_c, hi_c) if reach[k] and u[k] == worst)]
             k = u.index(best, lo, lo_c) if best in left else u.index(best, hi_c, hi)
             best_leaf = tree.leaf_ids[k]
             path = tree.path_to(best_leaf)
             best_label = tree.label_into(path[path.index(nid) + 1])
-            return nid, own_label, worst, worst_leaf, best, best_leaf, best_label
+            return nid, behavior.choices[nid], worst, worst_leaf, best, best_leaf, best_label
     return None
 
 
@@ -389,7 +385,7 @@ def check_dsic(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
             if _plan_answer(tree, table, i, vi, behavior) is None:
                 continue
             u = table.utils[i][vi]
-            for k in _plan_reach(tree, i, behavior)[1]:
+            for k in itertools.compress(range(len(u)), _plan_reach(tree, i, behavior)[1]):
                 leaf_id = tree.leaf_ids[k]
                 path = tree.path_to(leaf_id)
                 for w, lo, hi in _off_path(tree, path):

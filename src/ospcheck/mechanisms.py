@@ -2,7 +2,9 @@
 
 Each constructor returns a :class:`MechanismBundle`: the protocol tree, the
 truthful strategy table of every player, and the domain those strategies
-cover.  The bundles are ready for the property checkers.
+cover.  The bundles are ready for the property checkers.  Prices are read
+by ``model.read_rational`` and counts by ``model.read_int``, as in a file:
+a float or a bool raises MechanismError.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .model import (
     MechanismError,
     MechanismTree,
     build_tree,
+    read_int,
+    read_rational,
     validate_strategy,
 )
 from .valuations import (
@@ -85,10 +89,10 @@ def second_price_single_item(K: int, tiebreak_winner: int = 0) -> MechanismBundl
     gains by underbidding into a cheap tie.  The constructor builds the
     tree for any K; run the checkers to see exactly where obviousness dies.
     """
-    if K < 1:
+    if read_int(K) < 1:
         raise MechanismError("K must be at least 1")
     setting = AuctionSetting(kind=COMBINATORIAL, n=2, m=1)
-    if tiebreak_winner not in (0, 1):
+    if read_int(tiebreak_winner) not in (0, 1):
         raise MechanismError("tiebreak winner must be a player id")
 
     def leaf(a: int, b: int) -> dict:
@@ -155,7 +159,7 @@ def grand_bundle_ascending(setting: AuctionSetting, K: int, domain: Domain = Non
     the lowest-indexed of them wins at K.  Truthful play stays while the
     price is at most the value of the grand bundle.
     """
-    if K < 1:
+    if read_int(K) < 1:
         raise MechanismError("K must be at least 1")
     if domain is None:
         domain = _default_clock_domain(setting, K)
@@ -206,6 +210,7 @@ def grand_bundle_ascending(setting: AuctionSetting, K: int, domain: Domain = Non
 
 def ascending_single_item(K: int, n: int = 2, domain: Domain = None) -> MechanismBundle:
     """Ascending clock auction of a single item among ``n`` bidders."""
+    K = read_int(K)
     setting = AuctionSetting(kind=COMBINATORIAL, n=n, m=1)
     if domain is None:
         domain = Domain(
@@ -228,7 +233,7 @@ def serial_posted_price(x_l, x_h, setting: AuctionSetting, domain: Domain = None
     value.  On the restricted additive domain the realized outcome always
     maximizes welfare.
     """
-    x_l, x_h = Fraction(x_l), Fraction(x_h)
+    x_l, x_h = read_rational(x_l), read_rational(x_h)
     if not 0 < x_l < x_h:
         raise MechanismError("need 0 < x_l < x_h")
     if not setting.is_combinatorial:

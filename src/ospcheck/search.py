@@ -53,25 +53,27 @@ Four reductions keep the join small:
 * Siblings are joined level by level over prefix classes, not once per
   combination.  A later child reads the classes chosen for earlier siblings
   only through the speaker's row of their partial summary, and the other
-  rows and the flags fold associatively, so prefixes with an equal partial
-  state are interchangeable: each level keeps one group per state, with the
-  summed count and the first prefix, in stream order.
+  rows and the violation word fold associatively, so prefixes with an
+  equal partial state are interchangeable: each level keeps one group per
+  state, with the summed count and the first prefix, in stream order.
 * Candidates are folded once per bucket, not once per group.  The groups of
   a level that share a speaker's row allow the same candidates and fold the
   same row into each, so per such row the allowed candidates are folded once
   and those left with an equal state are collapsed into one, with the summed
   count and the lowest index.  Each group then walks the collapsed list and
-  folds only its rest (the other rows and the flags), through a table of
+  folds only its rest (the other rows and the word), through a table of
   fold results memoized per rest.
 
-The scan judges a tree by four flags, read from one predicate table that
-``_Scan`` builds for the target of the call: per allocation, the profiles
-where it beats the target ratio and those where it beats min(m, n), plus
-the two profiles of the payment-bound audit.  A leaf's flags come from the
-profiles it covers (``_Scan.leaf_flags``), and a tree's are its leaves'
-flags folded by ``_fold_flags``; a tree's leaves cover disjoint profile sets
-whose union is every profile reaching the tree, so the fold is the verdict
-over those profiles.
+The scan judges a tree by its violation word, an int with one bit per miss:
+``MISSES_TARGET`` or ``MISSES_MINMN`` when its ratio misses the target or
+min(m, n) on some profile, ``LOW_VIOL`` or ``SQUARE_VIOL`` when a payment
+bound of the audit fails.  A leaf's word comes from the profiles it covers
+(``_Scan.leaf_flags``, read from one predicate table built per call), and a
+tree's is the OR of its leaves'; a tree's leaves cover disjoint profile sets
+whose union is every profile reaching the tree, so the OR is the verdict
+over those profiles.  Only an audited scan of the multi-unit fixture sets
+the last three bits, and a refute scan lists no leaf that misses the target,
+so its words are all 0.
 
 Stream order is that of a depth-first walk of the class.  At a position
 (the players' consistent sets) it first lists every leaf: the valid
@@ -99,6 +101,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -116,6 +119,9 @@ GRID_CAVEAT = (
 )
 
 _BIG = 1 << 62
+
+# bits of a violation word: a tree's word is the OR of its leaves' words
+MISSES_TARGET, MISSES_MINMN, LOW_VIOL, SQUARE_VIOL = 1, 2, 4, 8
 
 
 def default_payment_grid(setting) -> tuple:
@@ -228,12 +234,12 @@ class _Scan:
     Counts surviving mechanisms by equivalence class instead of one by one.
     Two subtrees over the same consistent sets are interchangeable when they
     share (a) the per-valuation min-realized / max-anywhere utility vectors
-    that the obvious strategy-proofness join compares, and (b) their four
-    flags from ``leaf_flags``.  Both the sibling join and the final verdict
-    depend only on those, and the covered profile sets of siblings are
-    disjoint, so classes compose: the count of a joined class is the
+    that the obvious strategy-proofness join compares, and (b) their
+    violation word (``leaf_flags``).  Both the sibling join and the final
+    verdict depend only on those, and the covered profile sets of siblings
+    are disjoint, so classes compose: the count of a joined class is the
     product of its parts, its rows are their elementwise (min rmin, max
-    emax), and its flags are their ``_fold_flags``.  One first-encountered
+    emax), and its word is the OR of theirs.  One first-encountered
     descriptor per class is kept so a counterexample can still be
     materialized.
 
@@ -241,20 +247,19 @@ class _Scan:
     of ``checkers.scaled_values`` with the payment grid; ``rows[ai][i]`` is
     player i's row of values for her bundle in the ai-th allocation.
 
-    Class entry layout: (summary, flags, count, descriptor) where summary is
+    Class entry layout: (summary, word, count, descriptor) where summary is
     a per-player tuple of row ids, interned in ``row_ids`` (``row_of[id]``
-    gives the row back), and flags is (beats_target, beats_minmn,
-    low_bound_violation, square_bound_violation).  A player's row holds one
-    (rmin, emax) pair per valuation, except that it is empty while the
-    player's consistent set is still full: such a player has not spoken on
-    the path from the root, so no ancestor ever compares that row.
+    gives the row back), and word is the violation word.  A player's row
+    holds one (rmin, emax) pair per valuation, except that it is empty while
+    the player's consistent set is still full: such a player has not spoken
+    on the path from the root, so no ancestor ever compares that row.
 
     The memo maps a position, the players' consistent sets as bitmasks, to
     the entry (classes, join_index, rests).  join_index maps a speaker to
     the bitset tables ``_combine`` uses when that list is joined as a later
     child of a node where the speaker speaks; rests maps a speaker to each
     class's rest id.  A rest is a class's row ids other than the speaker's,
-    with its flags, interned too, so the join hashes and folds small ints
+    with its word, interned too, so the join hashes and folds small ints
     through memoized fold tables.
     Counts are Python ints: they pass 2**63 on 5 x 5 domains.
     """
@@ -293,8 +298,9 @@ class _Scan:
         self.fold_rests = _rest_folds(self.rest_ids, self.fold_rows)
 
     def _build_predicates(self, target: Fraction) -> None:
-        """Per allocation, bitsets of the profiles where its ratio misses the
-        target and where it misses min(m, n); the audit profiles' bits."""
+        """Per allocation, the bitset of the profiles where its ratio misses the
+        target; for an audited scan of the multi-unit fixture, also those where
+        it misses min(m, n), and the bits of the two audit profiles."""
         opt = list(welfare_optima(self.rows, self.sizes))
         sw = [
             [sum(row[vi] for row, vi in zip(rows, pv))
@@ -310,37 +316,33 @@ class _Scan:
             ]
 
         self.misses_target = misses(target.numerator, target.denominator)
-        self.misses_minmn = misses(min(self.setting.m, self.setting.n), 1)
-        profiles = _mu_fixture_profiles(self.setting, self.players)
+        profiles = None if self.beating_only else _mu_fixture_profiles(self.setting, self.players)
         self.audit_applicable = profiles is not None
-        self.low_bit = self.spike_bit = 0
         if profiles is not None:
+            self.misses_minmn = misses(min(self.setting.m, self.setting.n), 1)
             low, spike = (
                 sum(self.players[i].index(v) * self.strides[i] for i, v in enumerate(profile))
                 for profile in profiles
             )
             self.low_bit, self.spike_bit = 1 << low, 1 << spike
-        self.square = max(self.setting.m, self.setting.n) ** 2 * self.scale
+            self.square = max(self.setting.m, self.setting.n) ** 2 * self.scale
 
-    def leaf_flags(self, covered: int, ai: int, pays: tuple) -> tuple:
-        """(beats_target, beats_minmn, low_viol, square_viol) of a leaf
-        covering the profile bitset ``covered``: the ratio flags hold on every
-        profile the leaf covers; a violation is a winner at the all-one
-        profile paying more than 1, or a winner of all m units at the spike
-        profile paying more than k^2."""
-        alloc = self.allocations[ai]
-        low_viol = bool(covered & self.low_bit) and any(
-            alloc[i] and pays[i] > self.scale for i in range(self.n)
-        )
-        square_viol = bool(covered & self.spike_bit) and any(
-            alloc[i] >= self.setting.m and pays[i] > self.square for i in range(self.n)
-        )
-        return (
-            not covered & self.misses_target[ai],
-            not covered & self.misses_minmn[ai],
-            low_viol,
-            square_viol,
-        )
+    def leaf_flags(self, covered: int, ai: int, pays: tuple) -> int:
+        """The violation word of a leaf covering the profile bitset ``covered``:
+        ``MISSES_TARGET`` or ``MISSES_MINMN`` when its ratio misses that bound
+        on a covered profile, ``LOW_VIOL`` for a winner at the all-one profile
+        paying more than 1, ``SQUARE_VIOL`` for a winner of all m units at the
+        spike profile paying more than k^2; the last three only for an audit."""
+        word = MISSES_TARGET if covered & self.misses_target[ai] else 0
+        if self.audit_applicable:
+            alloc = self.allocations[ai]
+            word |= MISSES_MINMN if covered & self.misses_minmn[ai] else 0
+            if covered & self.low_bit and any(a and p > self.scale for a, p in zip(alloc, pays)):
+                word |= LOW_VIOL
+            if covered & self.spike_bit and any(
+                    a >= self.setting.m and p > self.square for a, p in zip(alloc, pays)):
+                word |= SQUARE_VIOL
+        return word
 
     # -- per-position tables ---------------------------------------------
 
@@ -352,11 +354,14 @@ class _Scan:
             got |= 1 << sum(vi * self.strides[i] for i, vi in enumerate(combo))
         return got
 
-    def _leaf_options(self, masks: tuple) -> Iterator[tuple]:
-        """Leaves at ``masks`` that keep IR and NNT on every covered profile:
-        each payment lies between 0 and the payer's least value there."""
+    def _leaf_options(self, masks: tuple, covered: int) -> Iterator[tuple]:
+        """Leaves at ``masks`` that keep IR and NNT on the profiles ``covered``:
+        each payment lies between 0 and the payer's least value there.  A refute
+        scan skips an allocation missing the target there, whatever it charges."""
         for ai, rows in enumerate(self.rows):
             self._check_deadline()
+            if self.beating_only and covered & self.misses_target[ai]:
+                continue
             per_player = []
             for mask, row in zip(masks, rows):
                 cap = min(x for vi, x in enumerate(row) if mask >> vi & 1)
@@ -446,19 +451,18 @@ class _Scan:
         self._check_deadline()
         table: dict = {}
 
-        def insert(summary, flags, count, desc) -> None:
-            entry = table.get((summary, flags))
+        def insert(summary, word, count, desc) -> None:
+            entry = table.get((summary, word))
             if entry is None:
-                table[summary, flags] = [summary, flags, count, desc]
+                table[summary, word] = [summary, word, count, desc]
             else:
                 entry[2] += count
 
         covered = self._covered(masks)
-        for ai, pays in self._leaf_options(masks):
+        for ai, pays in self._leaf_options(masks, covered):
             self._tick(1)
-            flags = self.leaf_flags(covered, ai, pays)
-            if not self.beating_only or flags[0]:
-                insert(self._leaf_summary(masks, ai, pays), flags, 1, ("leaf", ai, pays))
+            word = self.leaf_flags(covered, ai, pays)
+            insert(self._leaf_summary(masks, ai, pays), word, 1, ("leaf", ai, pays))
         for j in range(self.n):
             if bin(masks[j]).count("1") < 2:
                 continue
@@ -487,7 +491,7 @@ class _Scan:
 
     def _rests(self, child: tuple, j: int) -> list:
         """Per class of ``child``, the id of its rest for speaker ``j``: the
-        other players' row ids and the flags."""
+        other players' row ids and the word."""
         classes, _, rests = child
         got = rests.get(j)
         if got is None:
@@ -503,7 +507,7 @@ class _Scan:
         class per earlier child) only through the speaker's row of its partial
         summary: the owner's rmin on each earlier block (the other children
         hold ``_BIG`` there) and the max emax over earlier siblings.  The rest
-        (the other rows and the flags) folds associatively, so prefixes with
+        (the other rows and the word) folds associatively, so prefixes with
         an equal speaker's row and rest are one group, with the summed count
         and the lexicographically first prefix.  Groups are walked in dict
         order and candidates lowest bit first, so each level's dict fills in
@@ -573,8 +577,8 @@ class _Scan:
                         entry[0] += count * cand_count
             groups = [(own, rest, count, prefix) for (own, rest), (count, prefix) in level.items()]
         for own, rest, count, prefix in groups:
-            others, flags = self.rest_ids.of[rest]
-            insert(others[:j] + (own,) + others[j:], flags, count, ("node", j, blocks, prefix))
+            others, word = self.rest_ids.of[rest]
+            insert(others[:j] + (own,) + others[j:], word, count, ("node", j, blocks, prefix))
 
 
 class _Ids(dict):
@@ -628,14 +632,13 @@ def _row_folds(row_ids: _Ids) -> _Table:
 
 
 def _rest_folds(rest_ids: _Ids, row_folds: _Table) -> _Table:
-    """Fold table of rest ids: rows by ``row_folds``, flags by ``_fold_flags``."""
+    """Fold table of rest ids: rows by ``row_folds``, violation words by OR."""
     of = rest_ids.of
-    flag_folds = _fold_table(lambda a, b: _fold_flags((a, b)))
 
     def fold(a: int, b: int) -> int:
-        (rows_a, flags_a), (rows_b, flags_b) = of[a], of[b]
+        (rows_a, word_a), (rows_b, word_b) = of[a], of[b]
         rows = tuple(row_folds[x][y] for x, y in zip(rows_a, rows_b))
-        return rest_ids[rows, flag_folds[flags_a][flags_b]]
+        return rest_ids[rows, word_a | word_b]
 
     return _fold_table(fold)
 
@@ -669,13 +672,6 @@ def _set_bits(bits: int) -> Iterator[int]:
         i = digits.find("1", i + 1)
 
 
-def _fold_flags(flags) -> tuple:
-    """Flags of a tree from the flags of its parts: the ratio flags must
-    hold in every part, and a payment-bound violation in any part counts."""
-    beats_target, beats_minmn, low_viol, square_viol = zip(*flags)
-    return all(beats_target), all(beats_minmn), any(low_viol), any(square_viol)
-
-
 def falsify_impossibility(
     space: SearchSpace,
     target_ratio,
@@ -705,13 +701,14 @@ def falsify_impossibility(
     target = read_rational(target_ratio)
     if target <= 1:
         raise ValueError("target ratio must exceed 1")
-    if budget_seconds is not None and not budget_seconds >= 0:
+    if budget_seconds is not None and (isinstance(budget_seconds, bool) or not (
+            isinstance(budget_seconds, numbers.Real) and budget_seconds >= 0)):
         raise ValueError(f"time budget must be a nonnegative number, got {budget_seconds!r}")
     start = time.monotonic()
     deadline = None if budget_seconds is None else start + budget_seconds
     scan = _Scan(space, target, deadline, beating_only=not audit_survivors)
     audit = {
-        "applicable": scan.audit_applicable and audit_survivors,
+        "applicable": scan.audit_applicable,
         "survivors_checked": 0,
         "low_profile_bound_failures": 0,
         "square_bound_premise_met": 0,
@@ -724,14 +721,15 @@ def falsify_impossibility(
     except _BudgetExceeded:
         outcome = "budget-exhausted"
     else:
-        for _, (beats_target, beats_minmn, low_viol, square_viol), count, desc in root:
+        for _, word, count, desc in root:
             examined += count
             if audit["applicable"]:
                 audit["survivors_checked"] += count
-                audit["low_profile_bound_failures"] += count * low_viol
-                audit["square_bound_premise_met"] += count * beats_minmn
-                audit["square_bound_failures"] += count * (beats_minmn and square_viol)
-            if beats_target and counterexample is None:
+                audit["low_profile_bound_failures"] += count * bool(word & LOW_VIOL)
+                audit["square_bound_premise_met"] += count * (not word & MISSES_MINMN)
+                audit["square_bound_failures"] += count * (
+                    word & (MISSES_MINMN | SQUARE_VIOL) == SQUARE_VIOL)
+            if not word & MISSES_TARGET and counterexample is None:
                 counterexample = scan.materialize(desc)
         outcome = "no-counterexample" if counterexample is None else "counterexample"
     return SearchVerdict(

@@ -215,7 +215,8 @@ def _load_json(data):
 def parse_mechanism(data):
     """Parse mechanism bytes/str into a MechanismBundle or bare MechanismTree.
 
-    Files without a strategies section yield the tree alone.
+    Files without a strategies section yield the tree alone.  A player may
+    list one valuation twice only with the same behavior both times.
     """
     doc = _load_json(data)
     if not isinstance(doc, dict) or doc.get("format") != MECHANISM_FORMAT:
@@ -236,7 +237,11 @@ def parse_mechanism(data):
             for k, entry in enumerate(entries):
                 where = f"strategy entry {k} of player {i}"
                 v = valuation_from_json(read_field(entry, "valuation", read_object, where))
-                table[v] = Behavior(owner=i, choices=read_field(entry, "behavior", _choices, where))
+                behavior = Behavior(owner=i, choices=read_field(entry, "behavior", _choices, where))
+                kept = table.setdefault(v, behavior)
+                if kept is not behavior and kept != behavior:
+                    raise ParseError(f"{where} repeats the valuation of strategy entry "
+                                     f"{vals.index(v)} with a different behavior")
                 vals.append(v)
             players.append(tuple(vals))
             tables.append(table)

@@ -313,9 +313,10 @@ def oracle_combine(agg, j, blocks, children, masks, insert) -> None:
     are found with the scan's bitset tables, visited lowest bit first,
     and each complete combination is merged row by row and inserted, so
     classes arrive in stream order with no grouping of prefixes.  Rows are
-    read through ``agg.row_of`` and merged rows interned in ``agg.row_ids``.
+    read through ``agg.row_of`` and merged rows interned in ``agg.row_ids``;
+    violation words are ORed.
     """
-    from ospcheck.search import _BIG, _at_most, _fold_flags, _set_bits
+    from ospcheck.search import _BIG, _at_most, _set_bits
 
     lists = [child[0] for child in children]
     indexes = [agg._join_index(child, j) for child in children]
@@ -346,10 +347,11 @@ def oracle_combine(agg, j, blocks, children, masks, insert) -> None:
     # allowed[k] is the candidate bitset of level t + k given chosen[:t]
     def rec(t, allowed):
         if t == last:
-            count = 1
+            count, word = 1, 0
             for c in chosen:
                 count *= c[2]
-            insert(merge([c[0] for c in chosen]), _fold_flags(c[1] for c in chosen), count,
+                word |= c[1]
+            insert(merge([c[0] for c in chosen]), word, count,
                    ("node", j, blocks, tuple(c[3] for c in chosen)))
             return
         for i in _set_bits(allowed[0]):

@@ -283,6 +283,19 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ("values", fig1, values, ["1/1", "2/1"]),
         ("quantity", domain, ["players", 0, 0, "quantity"], 3),
     )
+    # a valuation listed twice must carry one behavior: keeping the last plan
+    # would check a mechanism the file does not describe
+    repeat = json.loads(json.dumps(fig1))
+    repeat["strategies"][0].append({"valuation": fig1["strategies"][0][0]["valuation"],
+                                    "behavior": {"N1": "2"}})
+    bad.write_text(json.dumps(repeat))
+    code, out, err = run_cli(capsys, "verify", "--mechanism", str(bad))
+    assert code == 2 and not out
+    assert "strategy entry 2 of player 0" in err and "strategy entry 0" in err
+    repeat["strategies"][0][2]["behavior"] = {"N1": "1"}  # an identical repeat is kept
+    bad.write_text(json.dumps(repeat))
+    assert run_cli(capsys, "verify", "--mechanism", str(bad))[0] == run_cli(
+        capsys, "verify", "--mechanism", FIG1)[0]
     for field, doc, path, value in cases:
         doc = json.loads(json.dumps(doc))
         *outer, last = path

@@ -166,3 +166,23 @@ def test_serial_posted_price_welfare_optimal_everywhere():
         assert realized == opt_welfare(profile, CA22)[0]
     with pytest.raises(MechanismError):
         serial_posted_price(3, 1, CA22)
+
+
+def test_constructors_read_numbers_strictly():
+    # prices are exact rationals and counts integers, read as a file reads them:
+    # 0.1 would be stored as 3602879701896397/36028797018963968, and True as 1
+    tree = serial_posted_price("1/10", 3, CA22).tree
+    paid = {p for lid in tree.leaf_ids for p in tree.nodes[lid].payments}
+    assert paid == {Fraction(0), Fraction(1, 10), Fraction(2, 10)}
+    for bad in (0.1, True, "x"):
+        with pytest.raises(MechanismError, match="bad rational"):
+            serial_posted_price(bad, 3, CA22)
+        with pytest.raises(MechanismError, match="bad rational"):
+            serial_posted_price(1, bad, CA22)
+    for bad in (2.5, True, "2"):
+        for make in (lambda: grand_bundle_ascending(MU22, bad),
+                     lambda: second_price_single_item(bad),
+                     lambda: second_price_single_item(2, tiebreak_winner=bad),
+                     lambda: ascending_single_item(bad)):
+            with pytest.raises(MechanismError, match="expected an integer"):
+                make()

@@ -22,7 +22,13 @@ from ospcheck import (
     falsify_impossibility,
     welfare_ratio,
 )
-from ospcheck.search import _Scan, _partitions
+from ospcheck.search import (
+    MISSES_MINMN,
+    MISSES_TARGET,
+    SQUARE_VIOL,
+    _partitions,
+    _Scan,
+)
 from ospcheck.serialize import serialize_mechanism
 
 from helpers import normalized_stream, oracle_combine, oracle_scan
@@ -149,6 +155,19 @@ def test_space_reads_exact_rationals():
             falsify_impossibility(space, bad)
 
 
+def test_budget_is_read_strictly():
+    # a budget is a real number of seconds: a bool is no number, a string is
+    # not read, NaN is never reached and a negative budget is meaningless
+    space = _sub_space()
+    for bad in (True, False, "5", float("nan"), -1, Fraction(-1, 2), [1]):
+        with pytest.raises(ValueError, match="time budget"):
+            falsify_impossibility(space, Fraction(2), budget_seconds=bad)
+    for good in (0, 0.0, Fraction(0)):
+        verdict = falsify_impossibility(space, Fraction(2), budget_seconds=good)
+        assert verdict.outcome == "budget-exhausted"
+    assert falsify_impossibility(space, Fraction(2), budget_seconds=60).outcome == "counterexample"
+
+
 def test_space_rejects_repeated_valuations():
     # plans are keyed by valuation, so two copies of one valuation share a
     # plan: the scan would count trees that no strategy table expresses
@@ -250,7 +269,7 @@ def test_prefix_join_matches_per_combination_oracle():
         (dom, grid, False, 5018),
         (Domain(setting=MU22, players=tuple(vs[:2] for vs in dom.players)), grid, False, 91),
         (Domain(setting=MU22, players=tuple(vs + (square,) if len(vs) > 1 else vs
-                                            for vs in dom.players)), grid, True, 6014),
+                                            for vs in dom.players)), grid, True, 5765),
         # three players who all speak: a join folds two non-speaker rows
         (three, (Fraction(0), Fraction(1), Fraction(3)), False, 853),
         (adversarial_domain(CA22, "ca-single-minded"), (Fraction(0), Fraction(1)), False, 2216),
@@ -275,6 +294,45 @@ def test_prefix_join_matches_per_combination_oracle():
             for got, want in zip(prefix[key], classes):
                 assert got == want, key
         assert sum(map(len, oracle.values())) == size
+
+
+def test_class_words_carry_only_read_bits(monkeypatch):
+    # a refute scan lists only target-beating leaves and reads no audit bit,
+    # so every word is 0 and the fixture's audit profiles are never looked up
+    dom = adversarial_domain(MU22, "mu-single-minded")
+    square = SingleMindedMU(quantity=MU22.m, value=Fraction(4))
+    augmented = Domain(setting=MU22, players=tuple(vs + (square,) if len(vs) > 1 else vs
+                                                   for vs in dom.players))
+    grid = (Fraction(0), Fraction(1), Fraction(5))
+
+    def words(scan):
+        return {c[1] for classes, _, _ in scan.memo.values() for c in classes}
+
+    with monkeypatch.context() as patch:
+        patch.setattr("ospcheck.search._mu_fixture_profiles", None)
+        refute = _Scan(SearchSpace(domain=augmented, payment_grid=grid), Fraction(2),
+                       beating_only=True)
+        refute.classes(refute.full)
+        assert words(refute) == {0}
+        assert not refute.audit_applicable
+    # off the fixture an audited scan reads only the target bit, even where
+    # min(m, n) = 2 and the target 3/2 differ
+    three = Domain(setting=MU32, players=(
+        (SingleMindedMU(1, Fraction(1)), SingleMindedMU(2, Fraction(3))),
+        (SingleMindedMU(1, Fraction(1)), SingleMindedMU(2, Fraction(5))),
+        (SingleMindedMU(1, Fraction(2)), SingleMindedMU(2, Fraction(4))),
+    ))
+    audited = _Scan(SearchSpace(domain=three, payment_grid=grid), Fraction(3, 2))
+    audited.classes(audited.full)
+    assert not audited.audit_applicable
+    assert words(audited) == {0, MISSES_TARGET}
+    # an audited fixture scan sets the audit bits too (IR caps the all-one
+    # winners' payments at 1 here, so LOW_VIOL never shows)
+    fixture = _Scan(SearchSpace(domain=augmented, payment_grid=grid), Fraction(3))
+    fixture.classes(fixture.full)
+    assert fixture.audit_applicable
+    assert functools.reduce(int.__or__, words(fixture)) == (
+        MISSES_TARGET | MISSES_MINMN | SQUARE_VIOL)
 
 
 def test_counterexample_reverifies():
