@@ -36,7 +36,6 @@ from .model import (
     Behavior,
     MechanismTree,
     bundle_contains,
-    bundle_is_empty,
     follow,
     run,
 )
@@ -582,13 +581,14 @@ class PaymentBoundReport:
     k: Fraction
 
 
-def _mu_fixture_profiles(setting: AuctionSetting, players: tuple) -> Optional[tuple]:
-    """(all-one, spike) profiles of the adversarial multi-unit fixture.
-
-    The all-one profile gives every player the one-unit value-1 valuation;
-    the spike profile gives the first player who can demand all m units at
-    value k^4 that valuation instead.  None when the domain is not that
-    fixture.
+def _mu_fixture_bounds(setting: AuctionSetting, players: tuple) -> Optional[tuple]:
+    """Payment bounds of the adversarial multi-unit fixture, as entries
+    ``(profile, bundle, cap)``: at ``profile`` a bidder whose bundle covers
+    ``bundle`` (``model.bundle_contains``) pays at most ``cap``.  At the
+    all-one profile, every player holding the one-unit value-1 valuation,
+    any winner pays at most 1; at the spike profile, where the first player
+    who can demand all m units at value k^4 holds that valuation instead, a
+    winner of all m units pays at most k^2.  None off the fixture.
     """
     if setting.is_combinatorial:
         return None
@@ -602,49 +602,36 @@ def _mu_fixture_profiles(setting: AuctionSetting, players: tuple) -> Optional[tu
         return None
     all_one = tuple(one for _ in players)
     spike = tuple(all_v if i == featured else one for i in range(len(players)))
-    return all_one, spike
+    return (all_one, 1, Fraction(1)), (spike, setting.m, k**2)
 
 
 def mu_payment_bounds(tree: MechanismTree, strategies: Sequence, domain: Domain) -> PaymentBoundReport:
-    """Check the payment bounds at the adversarial multi-unit profiles.
+    """Check the payment bounds of ``_mu_fixture_bounds`` on one mechanism.
 
-    At the profile where everyone is a one-unit value-1 bidder, any winner
-    must pay at most 1.  At the profile where the first featured bidder
-    demands everything (value k^4) against one-unit rivals, a bidder who
-    wins all m units should pay at most k^2; that second bound additionally
-    presumes the mechanism's ratio beats min(m, n), which the caller is
-    responsible for establishing.
+    Any winner at the all-one profile pays at most 1, and a winner of all m
+    units at the spike profile at most k^2; that second bound presumes the
+    mechanism's ratio beats min(m, n), which the caller establishes.
     """
     setting = tree.setting
-    profiles = _mu_fixture_profiles(setting, _players(domain))
-    if profiles is None:
+    bounds = _mu_fixture_bounds(setting, _players(domain))
+    if bounds is None:
         raise ValueError("domain is not the adversarial multi-unit fixture")
-    all_one, spike = profiles
-    m = setting.m
-    k = Fraction(max(setting.m, setting.n))
+    (all_one, one, cap_one), (spike, everything, square) = bounds
 
-    def outcome(profile):
+    def winners(profile, bundle) -> tuple:
         behaviors = tuple(strategies[i][profile[i]] for i in range(setting.n))
-        leaf_id, _ = run(tree, behaviors)
-        leaf = tree.nodes[leaf_id]
-        return leaf.allocation, leaf.payments
+        leaf = tree.nodes[run(tree, behaviors)[0]]
+        return tuple(
+            (i, pay) for i, (got, pay) in enumerate(zip(leaf.allocation, leaf.payments))
+            if bundle_contains(setting, got, bundle)
+        )
 
-    alloc, pays = outcome(all_one)
-    winners = tuple(
-        (i, pays[i]) for i in range(setting.n) if not bundle_is_empty(setting, alloc[i])
-    )
-    bound_one = all(p <= 1 for _, p in winners)
-
-    alloc2, pays2 = outcome(spike)
-    all_units = next(
-        ((i, pays2[i]) for i in range(setting.n) if bundle_contains(setting, alloc2[i], m)),
-        None,
-    )
-    within = None if all_units is None else all_units[1] <= k**2
+    low = winners(all_one, one)
+    all_units = next(iter(winners(spike, everything)), None)
     return PaymentBoundReport(
-        all_one_winners=winners,
-        winners_pay_at_most_one=bound_one,
+        all_one_winners=low,
+        winners_pay_at_most_one=all(p <= cap_one for _, p in low),
         all_units_winner=all_units,
-        all_units_within_square=within,
-        k=k,
+        all_units_within_square=None if all_units is None else all_units[1] <= square,
+        k=Fraction(max(setting.m, setting.n)),
     )

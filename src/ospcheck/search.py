@@ -66,14 +66,14 @@ Four reductions keep the join small:
 
 The scan judges a tree by its violation word, an int with one bit per miss:
 ``MISSES_TARGET`` or ``MISSES_MINMN`` when its ratio misses the target or
-min(m, n) on some profile, ``LOW_VIOL`` or ``SQUARE_VIOL`` when a payment
-bound of the audit fails.  A leaf's word comes from the profiles it covers
-(``_Scan.leaf_flags``, read from one predicate table built per call), and a
-tree's is the OR of its leaves'; a tree's leaves cover disjoint profile sets
-whose union is every profile reaching the tree, so the OR is the verdict
-over those profiles.  Only an audited scan of the multi-unit fixture sets
-the last three bits, and a refute scan lists no leaf that misses the target,
-so its words are all 0.
+min(m, n) on some profile, ``LOW_VIOL`` or ``SQUARE_VIOL`` when the first or
+second payment bound of ``checkers._mu_fixture_bounds`` (the table that
+``mu_payment_bounds`` reads) fails.  A leaf's word comes from the profiles it
+covers (``_Scan.leaf_flags``, from one predicate table built per call), and a
+tree's is the OR of its leaves'; its leaves cover disjoint profile sets whose
+union is every profile reaching the tree, so the OR is the verdict over those
+profiles.  Only an audited scan of the multi-unit fixture sets the last three
+bits, and a refute scan lists no leaf that misses the target: its words are 0.
 
 Stream order is that of a depth-first walk of the class.  At a position
 (the players' consistent sets) it first lists every leaf: the valid
@@ -108,9 +108,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .checkers import _mu_fixture_profiles, scaled_values, welfare_optima
+from .checkers import _mu_fixture_bounds, scaled_values, welfare_optima
 from .mechanisms import MechanismBundle
-from .model import Behavior, InternalNode, Leaf, MechanismTree, read_rational
+from .model import Behavior, InternalNode, Leaf, MechanismTree, bundle_contains, read_rational
 from .valuations import Domain
 
 GRID_CAVEAT = (
@@ -144,9 +144,9 @@ def default_payment_grid(setting) -> tuple:
 class SearchSpace:
     """Domain and payment grid delimiting the search class.
 
-    Grid levels are exact rationals (``model.read_rational``).  A player may
-    not list one valuation twice: plans are keyed by valuation, so both
-    copies would share one plan and the class would hold trees that no
+    Grid levels are exact rationals at least 0 (``model.read_rational``).  A
+    player may not list one valuation twice: plans are keyed by valuation, so
+    both copies would share one plan and the class would hold trees that no
     strategy table can express."""
 
     domain: Domain
@@ -156,6 +156,8 @@ class SearchSpace:
         grid = tuple(sorted(set(map(read_rational, self.payment_grid))))
         if not grid:
             raise ValueError("payment grid must be nonempty")
+        if grid[0] < 0:
+            raise ValueError(f"payment grid level {grid[0]} is negative; levels must be >= 0")
         object.__setattr__(self, "payment_grid", grid)
         for i, vs in enumerate(self.domain.players):
             if len(set(vs)) != len(vs):
@@ -174,18 +176,17 @@ class SearchSpace:
 class SearchVerdict:
     """What ``falsify_impossibility`` found.
 
-    ``examined`` equals ``survivors`` in both modes: the number of class
-    members that pass OSP, IR and NNT, or with ``audit_survivors=False``
-    the number of those that also beat the target.  Both are 0 on
-    ``budget-exhausted``, since counts exist only at the root; how far such
-    a scan got is in ``progress``: ``positions_done``, the memo positions
+    ``survivors`` is the number of class members that pass OSP, IR and NNT,
+    or with ``audit_survivors=False`` the number of those that also beat the
+    target; ``examined`` is the same count under its older name.  It is 0
+    on ``budget-exhausted``, since counts exist only at the root; how far
+    such a scan got is in ``progress``: ``positions_done``, the memo positions
     (the players' consistent sets) whose class lists were finished,
     and ``join_steps``, the leaves built plus the join candidates tested.
     """
 
     outcome: str  # "no-counterexample" | "counterexample" | "budget-exhausted"
     counterexample: Optional[MechanismBundle]
-    examined: int
     survivors: int
     elapsed: float
     class_description: str
@@ -193,35 +194,23 @@ class SearchVerdict:
     caveat: str = GRID_CAVEAT
     progress: dict = field(default_factory=dict)
 
-
-def _partitions(elements: tuple) -> list:
-    """Set partitions of ``elements`` into >= 2 blocks, canonical order.
-
-    Restricted-growth strings enumerated lexicographically; blocks come out
-    ordered by their smallest element.
-    """
-    out = []
-    if len(elements) < 2:
-        return out
-    for rgs in _growth_strings(len(elements), (0,), 0):
-        top = max(rgs)
-        if top >= 1:
-            blocks = [[] for _ in range(top + 1)]
-            for x, b in zip(elements, rgs):
-                blocks[b].append(x)
-            out.append(tuple(map(tuple, blocks)))
-    return out
+    @property
+    def examined(self) -> int:
+        return self.survivors
 
 
-def _growth_strings(n: int, prefix: tuple, top: int):
-    """Restricted-growth strings of length ``n`` that extend ``prefix``, whose
-    largest entry is ``top``, in lexicographic order.  A module-level generator,
-    not a closure over itself: a call leaves no reference cycle for the collector."""
-    if len(prefix) == n:
-        yield prefix
-        return
-    for b in range(top + 2):
-        yield from _growth_strings(n, prefix + (b,), max(top, b))
+def _partitions(mask: int) -> list:
+    """Partitions of the set bits of ``mask`` into >= 2 blocks, each block a
+    bitmask, in canonical order: restricted-growth strings grown one bit at
+    a time, in lexicographic order, so blocks come out ordered by their
+    lowest bit."""
+    parts = [()]
+    for vi in range(mask.bit_length()):
+        if mask >> vi & 1:
+            parts = [part[:b] + (part[b] | 1 << vi,) + part[b + 1:] if b < len(part)
+                     else part + (1 << vi,)
+                     for part in parts for b in range(len(part) + 1)]
+    return [part for part in parts if len(part) >= 2]
 
 
 class _BudgetExceeded(Exception):
@@ -288,7 +277,7 @@ class _Scan:
             stride *= self.sizes[i]
         self._build_predicates(target)
 
-        self._partition_cache: dict = {}
+        self.partitions = _Table(_partitions)
         self.memo: dict = {}
         self.work = 0
         self.row_ids = _Ids()
@@ -300,7 +289,8 @@ class _Scan:
     def _build_predicates(self, target: Fraction) -> None:
         """Per allocation, the bitset of the profiles where its ratio misses the
         target; for an audited scan of the multi-unit fixture, also those where
-        it misses min(m, n), and the bits of the two audit profiles."""
+        it misses min(m, n), and the payment bounds of ``_mu_fixture_bounds``
+        as (flag, profile bit, bundle, scaled cap) entries."""
         opt = list(welfare_optima(self.rows, self.sizes))
         sw = [
             [sum(row[vi] for row, vi in zip(rows, pv))
@@ -316,32 +306,31 @@ class _Scan:
             ]
 
         self.misses_target = misses(target.numerator, target.denominator)
-        profiles = None if self.beating_only else _mu_fixture_profiles(self.setting, self.players)
-        self.audit_applicable = profiles is not None
-        if profiles is not None:
+        bounds = None if self.beating_only else _mu_fixture_bounds(self.setting, self.players)
+        self.audit_applicable = bounds is not None
+        if bounds is not None:
             self.misses_minmn = misses(min(self.setting.m, self.setting.n), 1)
-            low, spike = (
-                sum(self.players[i].index(v) * self.strides[i] for i, v in enumerate(profile))
-                for profile in profiles
-            )
-            self.low_bit, self.spike_bit = 1 << low, 1 << spike
-            self.square = max(self.setting.m, self.setting.n) ** 2 * self.scale
+            # an integer payment exceeds the cap exactly when it exceeds its floor
+            self.bounds = [
+                (flag, 1 << sum(self.players[i].index(v) * self.strides[i]
+                                for i, v in enumerate(profile)), bundle, cap * self.scale // 1)
+                for flag, (profile, bundle, cap) in zip((LOW_VIOL, SQUARE_VIOL), bounds)
+            ]
 
     def leaf_flags(self, covered: int, ai: int, pays: tuple) -> int:
         """The violation word of a leaf covering the profile bitset ``covered``:
         ``MISSES_TARGET`` or ``MISSES_MINMN`` when its ratio misses that bound
-        on a covered profile, ``LOW_VIOL`` for a winner at the all-one profile
-        paying more than 1, ``SQUARE_VIOL`` for a winner of all m units at the
-        spike profile paying more than k^2; the last three only for an audit."""
+        on a covered profile, and the flag of each payment bound whose profile
+        is covered and whose cap a bidder holding its bundle exceeds; the last
+        three only for an audit."""
         word = MISSES_TARGET if covered & self.misses_target[ai] else 0
         if self.audit_applicable:
             alloc = self.allocations[ai]
             word |= MISSES_MINMN if covered & self.misses_minmn[ai] else 0
-            if covered & self.low_bit and any(a and p > self.scale for a, p in zip(alloc, pays)):
-                word |= LOW_VIOL
-            if covered & self.spike_bit and any(
-                    a >= self.setting.m and p > self.square for a, p in zip(alloc, pays)):
-                word |= SQUARE_VIOL
+            for flag, bit, bundle, cap in self.bounds:
+                if covered & bit and any(p > cap and bundle_contains(self.setting, a, bundle)
+                                         for a, p in zip(alloc, pays)):
+                    word |= flag
         return word
 
     # -- per-position tables ---------------------------------------------
@@ -365,21 +354,9 @@ class _Scan:
             per_player = []
             for mask, row in zip(masks, rows):
                 cap = min(x for vi, x in enumerate(row) if mask >> vi & 1)
-                per_player.append([p for p in self.grid if 0 <= p <= cap])
+                per_player.append([p for p in self.grid if p <= cap])
             for pays in itertools.product(*per_player):
                 yield ai, pays
-
-    def _mask_partitions(self, mask: int) -> list:
-        got = self._partition_cache.get(mask)
-        if got is None:
-            elements = tuple(vi for vi in range(mask.bit_length()) if mask >> vi & 1)
-            blocks = _partitions(elements)
-            got = [
-                tuple(sum(1 << vi for vi in block) for block in part)
-                for part in blocks
-            ]
-            self._partition_cache[mask] = got
-        return got
 
     # -- materialization ---------------------------------------------------
 
@@ -464,9 +441,7 @@ class _Scan:
             word = self.leaf_flags(covered, ai, pays)
             insert(self._leaf_summary(masks, ai, pays), word, 1, ("leaf", ai, pays))
         for j in range(self.n):
-            if bin(masks[j]).count("1") < 2:
-                continue
-            for blocks in self._mask_partitions(masks[j]):
+            for blocks in self.partitions[masks[j]]:
                 children = [self.classes(masks[:j] + (block,) + masks[j + 1:]) for block in blocks]
                 self._combine(j, blocks, children, masks, insert)
         # first-encounter (insertion) order makes the stored representative of
@@ -695,7 +670,7 @@ def falsify_impossibility(
     checkers, as the tests' ``oracle_scan`` does.  ``audit_survivors=False``
     restricts the aggregation to target-beating subtrees only: much faster,
     same outcome and counterexample, but the survivor totals and payment
-    audit are not collected (examined then counts candidate counterexamples
+    audit are not collected (survivors then counts candidate counterexamples
     only).
     """
     target = read_rational(target_ratio)
@@ -714,7 +689,7 @@ def falsify_impossibility(
         "square_bound_premise_met": 0,
         "square_bound_failures": 0,
     }
-    examined = 0
+    survivors = 0
     counterexample = None
     try:
         root = scan.classes(scan.full)[0]
@@ -722,7 +697,7 @@ def falsify_impossibility(
         outcome = "budget-exhausted"
     else:
         for _, word, count, desc in root:
-            examined += count
+            survivors += count
             if audit["applicable"]:
                 audit["survivors_checked"] += count
                 audit["low_profile_bound_failures"] += count * bool(word & LOW_VIOL)
@@ -735,8 +710,7 @@ def falsify_impossibility(
     return SearchVerdict(
         outcome=outcome,
         counterexample=counterexample,
-        examined=examined,
-        survivors=examined,
+        survivors=survivors,
         elapsed=time.monotonic() - start,
         class_description=space.describe(),
         audit=audit,

@@ -16,6 +16,7 @@ from .model import (
     MechanismError,
     bundle_contains,
     bundle_is_empty,
+    read_rational,
 )
 
 
@@ -37,7 +38,8 @@ def minimal_price(tree: MechanismTree, nid: str, player: int, bundle) -> Optiona
 
 def is_decisive(tree: MechanismTree, nid: str, player: int, bundle, price) -> bool:
     """Whether ``player`` can force, from ``nid``, a leaf granting a bundle
-    that covers ``bundle`` at a payment of at most ``price``.
+    that covers ``bundle`` at a payment of at most ``price``, an exact
+    rational (``model.read_rational``).
 
     At the player's own vertices she picks the best message (OR); at other
     players' vertices every message must work out (AND); continuations range
@@ -45,7 +47,7 @@ def is_decisive(tree: MechanismTree, nid: str, player: int, bundle, price) -> bo
     """
     if nid not in tree.nodes:
         raise MechanismError(f"unknown node {nid!r}")
-    price = Fraction(price)
+    price = read_rational(price)
     setting = tree.setting
 
     def walk(cur: str) -> bool:

@@ -312,6 +312,141 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert code == 2 and err.startswith("ospcheck: error:") and repr(field) in err, err
 
 
+def test_domain_file_overrides_the_bundles(tmp_path, capsys):
+    # verify and ratio play the bundle's strategies over the domain file given
+    from fractions import Fraction
+
+    from ospcheck import (AuctionSetting, Domain, SingleMindedMU, adversarial_domain,
+                          grand_bundle_ascending, second_price_single_item)
+    from ospcheck.serialize import serialize_domain, serialize_mechanism
+
+    mech, dom = tmp_path / "mech.json", tmp_path / "dom.json"
+    sp3 = second_price_single_item(3)
+    mech.write_text(serialize_mechanism(sp3))
+    lowest, every = sp3.domain.players[0][:1], sp3.domain.players[1]
+    dom.write_text(serialize_domain(Domain(setting=sp3.tree.setting, players=(lowest, every))))
+    assert run_cli(capsys, "verify", "--mechanism", str(mech))[0] == 1
+    code, out, _ = run_cli(capsys, "verify", "--mechanism", str(mech), "--domain", str(dom))
+    assert code == 0 and "[PASS] osp" in out
+
+    mu = AuctionSetting(kind="multi-unit", n=2, m=2)
+    gb = grand_bundle_ascending(mu, 16, domain=adversarial_domain(mu, "mu-single-minded"))
+    mech.write_text(serialize_mechanism(gb))
+    code, out, _ = run_cli(capsys, "ratio", "--mechanism", str(mech))
+    assert code == 0
+    assert "[INFO] welfare ratio = 2/1\n       worst profile welfare 1/1 vs OPT 2/1\n" in out
+    spike = (gb.domain.players[0][2:], gb.domain.players[1][:1])
+    dom.write_text(serialize_domain(Domain(setting=mu, players=spike)))
+    code, out, _ = run_cli(capsys, "ratio", "--mechanism", str(mech), "--domain", str(dom))
+    assert code == 0 and "[INFO] welfare ratio = 1/1\n" in out
+    # a valuation the strategies do not cover cannot be played
+    unplayed = (spike[0], (SingleMindedMU(2, Fraction(3)),))
+    dom.write_text(serialize_domain(Domain(setting=mu, players=unplayed)))
+    code, out, err = run_cli(capsys, "ratio", "--mechanism", str(mech), "--domain", str(dom))
+    assert code == 2 and not out and "strategy of player 1 misses domain valuations" in err
+    # a file without a strategies section holds a tree alone
+    mech.write_text(serialize_mechanism(gb.tree))
+    for command in ("verify", "ratio"):
+        code, out, err = run_cli(capsys, command, "--mechanism", str(mech))
+        assert code == 2 and not out and "has no strategies section" in err
+
+
+def test_search_config_errors_and_inline_domain(tmp_path, capsys):
+    from ospcheck import AuctionSetting, adversarial_domain
+    from ospcheck.serialize import serialize_domain
+
+    mu = AuctionSetting(kind="multi-unit", n=2, m=2)
+    domain = json.loads(serialize_domain(adversarial_domain(mu, "mu-single-minded")))
+    config = tmp_path / "config.json"
+    cases = (
+        ('{"target_ratio": ', "config syntax error at line 1 column 18"),
+        ("[1, 2]", "search config must be a JSON object"),
+        ('{"target_ratio": "2"}', "search needs --domain FILE or a domain entry"),
+        (json.dumps({"domain": domain}), "search needs --target-ratio P/Q"),
+    )
+    for text, message in cases:
+        config.write_text(text)
+        code, out, err = run_cli(capsys, "search", "--config", str(config))
+        assert code == 2 and not out and message in err, err
+    # the domain entry may hold the domain document itself, not a path
+    config.write_text(json.dumps({"domain": domain, "target_ratio": "3", "grid": ["0", "1"]}))
+    code, out, _ = run_cli(capsys, "search", "--config", str(config))
+    assert code == 0 and "no-counterexample" in out
+
+
+def test_search_rejects_negative_grid_levels(tmp_path, capsys):
+    # no leaf may charge a negative payment, so such a level used to be
+    # dropped silently, and a grid of negative levels alone passed vacuously
+    from ospcheck import AuctionSetting, adversarial_domain
+    from ospcheck.serialize import serialize_domain
+
+    mu = AuctionSetting(kind="multi-unit", n=2, m=2)
+    domain_path = tmp_path / "dom.json"
+    domain_path.write_text(serialize_domain(adversarial_domain(mu, "mu-single-minded")))
+    for grid, level in (("-1", "-1"), ("-1,0", "-1"), ("0,-1/2,1", "-1/2")):
+        code, out, err = run_cli(capsys, "search", "--domain", str(domain_path),
+                                 "--target-ratio", "2", f"--grid={grid}")
+        assert code == 2 and not out and f"payment grid level {level} is negative" in err
+
+
+def test_malformed_files_exit_2(tmp_path, capsys):
+    """Each check that a mechanism or domain file can reach exits 2 with its reason."""
+    from ospcheck import AuctionSetting, adversarial_domain
+    from ospcheck.serialize import serialize_domain
+
+    fig1 = json.loads(Path(FIG1).read_text())
+    leaf = ["root", "edges", "1", "edges", "1"]
+    one_leaf = {"format": "ospcheck-mechanism", "version": 1,
+                "setting": {"kind": "multi-unit", "n": 1, "m": 1},
+                "root": {"allocation": [0], "payments": ["0/1"]}}
+    mu = AuctionSetting(kind="multi-unit", n=2, m=2)
+    ca = AuctionSetting(kind="combinatorial", n=2, m=2)
+    mu_domain = json.loads(serialize_domain(adversarial_domain(mu, "mu-single-minded")))
+    ca_domain = json.loads(serialize_domain(adversarial_domain(ca, "ca-single-minded")))
+    entry = ["strategies", 0, 0]
+    cases = (
+        (fig1, ["setting", "kind"], "auction", "unknown setting kind 'auction'"),
+        (fig1, ["setting", "n"], 0, "need n >= 1 players"),
+        (fig1, ["setting", "m"], 0, "m >= 1 items"),
+        (fig1, leaf + ["allocation", 1, 0], 1, "item index out of range"),
+        (one_leaf, ["root", "allocation", 0], 2, "quantity out of range"),
+        (fig1, leaf + ["allocation"], [[]], "one bundle per player"),
+        (fig1, leaf + ["payments"], ["0/1"], "leaf 'L1' needs one payment per player"),
+        (fig1, leaf + ["id"], "#1", "node ids may not start with '#'"),
+        (fig1, leaf + ["id"], "N1", "duplicate node id 'N1'"),
+        (fig1, ["root", "edges", "1", "edges"], {}, "internal node 'N2' needs a nonempty edge map"),
+        (fig1, ["root", "edges", "1"], 5, "node description must be a mapping, got int"),
+        (fig1, entry + ["behavior"], {}, "strategy of player 0 undefined at node 'N1'"),
+        (fig1, entry + ["behavior", "N1"], "9", "label '9' does not exist at node 'N1'"),
+        (fig1, entry + ["valuation", "tag"], "bogus", "unknown valuation tag 'bogus'"),
+        (fig1, entry + ["valuation"], {"tag": "additive"}, "additive valuation has no 'values'"),
+        (mu_domain, ["players", 0, 0, "value"], "-1", "values must be nonnegative"),
+        (mu_domain, ["players", 0, 0, "quantity"], 0, "quantity must be at least 1"),
+        (mu_domain, ["players", 1], [], "every player needs a nonempty valuation list"),
+        (mu_domain, ["players"], [[{"tag": "general-mu", "values": ["0", "1", "1"]}]],
+         "need one valuation list per player"),
+        (mu_domain, ["players", 0, 0], {"tag": "general-mu", "values": []}, "empty quantity table"),
+        (mu_domain, ["players", 0, 0], {"tag": "general-mu", "values": ["1", "1", "1"]},
+         "v(0) must be 0"),
+        (mu_domain, ["players", 0, 0], {"tag": "additive", "values": ["1/1", "1/1"]},
+         "additive valuation incompatible with multi-unit setting"),
+        (ca_domain, ["players", 0, 0, "bundle"], [], "target bundle must be nonempty"),
+        (ca_domain, ["players", 0, 0], {"tag": "general-ca", "values": ["0", "1", "1"]},
+         "table length must be a power of two"),
+    )
+    bad = tmp_path / "bad.json"
+    for doc, path, value, message in cases:
+        doc = json.loads(json.dumps(doc))
+        *outer, last = path
+        functools.reduce(operator.getitem, outer, doc)[last] = value
+        bad.write_text(json.dumps(doc))
+        if "players" in doc:
+            code, out, err = run_cli(capsys, "search", "--domain", str(bad), "--target-ratio", "2")
+        else:
+            code, out, err = run_cli(capsys, "analyze", "--mechanism", str(bad))
+        assert code == 2 and not out and err.startswith("ospcheck: error:") and message in err, err
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 from ospcheck import (
     AdditiveValuation,
     AuctionSetting,
+    MechanismBundle,
     MechanismError,
     adversarial_domain,
     ascending_single_item,
@@ -186,3 +187,22 @@ def test_constructors_read_numbers_strictly():
                      lambda: ascending_single_item(bad)):
             with pytest.raises(MechanismError, match="expected an integer"):
                 make()
+
+
+def test_constructor_input_errors():
+    """Each check of a bundle or constructor raises MechanismError with its reason."""
+    sp = second_price_single_item(2)
+    cases = (
+        (lambda: MechanismBundle(tree=sp.tree, strategies=sp.strategies[:1], domain=sp.domain),
+         "need one strategy table per player"),
+        (lambda: MechanismBundle(tree=sp.tree, strategies=({}, sp.strategies[1]), domain=sp.domain),
+         "strategy of player 0 misses domain valuations"),
+        (lambda: second_price_single_item(2, tiebreak_winner=2), "tiebreak winner must be a player id"),
+        (lambda: second_price_single_item(0), "K must be at least 1"),
+        (lambda: grand_bundle_ascending(MU22, 0), "K must be at least 1"),
+        (lambda: serial_posted_price(1, 3, MU22), "posted-price mechanism is combinatorial"),
+    )
+    for make, message in cases:
+        with pytest.raises(MechanismError) as caught:
+            make()
+        assert message in str(caught.value)

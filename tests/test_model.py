@@ -24,7 +24,8 @@ from ospcheck import (
     SingleMindedCA,
     SingleMindedMU,
 )
-from ospcheck.model import read_int, read_rational
+from ospcheck.model import (read_int, read_rational, validate_allocation, validate_bundle,
+                            validate_strategy)
 from ospcheck.serialize import parse_mechanism, serialize_mechanism
 
 from helpers import random_instance, random_setting, random_tree_spec, walk_index
@@ -275,3 +276,51 @@ def test_tree_index_matches_walks():
             assert tree.path_to(nid) == walk.paths[nid]
             if nid != tree.root:
                 assert tree.label_into(nid) == walk.labels[nid]
+
+
+def test_input_errors_are_named():
+    """Each check on a setting, bundle, allocation, arena, node description,
+    behavior profile or strategy table raises MechanismError with its reason."""
+    mu11 = AuctionSetting(kind="multi-unit", n=1, m=1)
+    leaf = Leaf(allocation=(frozenset(),), payments=(Fraction(0),))
+    bundle = fig1_bundle()
+    tree, (first, second) = bundle.tree, bundle.strategies
+    low = bundle.domain.players[0][0]
+    cases = (
+        (lambda: AuctionSetting(kind="auction", n=1, m=1), "unknown setting kind 'auction'"),
+        (lambda: AuctionSetting(kind="multi-unit", n=0, m=1), "need n >= 1 players"),
+        (lambda: AuctionSetting(kind="multi-unit", n=1, m=0), "m >= 1 items"),
+        (lambda: validate_bundle(CA11, {0}), "frozenset of item indices"),
+        (lambda: validate_bundle(CA11, frozenset({1})), "item index out of range"),
+        (lambda: validate_bundle(mu11, 1.0), "integer quantity"),
+        (lambda: validate_bundle(mu11, 2), "quantity out of range"),
+        (lambda: validate_bundle(mu11, -1), "quantity out of range"),
+        (lambda: validate_allocation(CA11, ()), "one bundle per player"),
+        (lambda: MechanismTree(CA11, {"a": leaf}, "b"), "root id missing"),
+        (lambda: MechanismTree(CA11, {"a": InternalNode(0, {"x": "b"})}, "a"),
+         "edge points to unknown node 'b'"),
+        (lambda: MechanismTree(CA11, {"a": InternalNode(0, {})}, "a"),
+         "internal node 'a' has no outgoing edge"),
+        (lambda: MechanismTree(CA11, {"a": InternalNode(0, {"x": "c", "y": "c"}), "c": leaf}, "a"),
+         "node 'c' has two parents"),
+        (lambda: MechanismTree(CA11, {"a": Leaf((frozenset(),), ())}, "a"),
+         "leaf 'a' needs one payment per player"),
+        (lambda: build_tree([leaf_spec(1)], CA11), "must be a mapping, got list"),
+        (lambda: build_tree({"id": "#0", **leaf_spec(1)}, CA11), "may not start with '#'"),
+        (lambda: build_tree({"id": "a", "speaker": 0, "edges": {"x": {"id": "a", **leaf_spec(1)}}},
+                            CA11), "duplicate node id 'a'"),
+        (lambda: build_tree({"speaker": 0, "edges": {}}, CA11), "needs a nonempty edge map"),
+        (lambda: run(tree, (first[low],)), "need one behavior per player"),
+        (lambda: run(tree, (second[low], first[low])), "position 0 owned by player 1"),
+        (lambda: validate_strategy(tree, 1, first), "behavior owner mismatch"),
+        (lambda: validate_strategy(tree, 0, {low: Behavior(0, {})}),
+         "strategy of player 0 undefined at node 'N1'"),
+        (lambda: validate_strategy(tree, 0, {low: Behavior(0, {"N1": "9"})}),
+         "label '9' does not exist at node 'N1'"),
+    )
+    for make, message in cases:
+        with pytest.raises(MechanismError) as caught:
+            make()
+        assert message in str(caught.value)
+    with pytest.raises(TypeError, match="not hashable"):
+        hash(tree)

@@ -155,6 +155,15 @@ def test_space_reads_exact_rationals():
             falsify_impossibility(space, bad)
 
 
+def test_space_rejects_negative_grid_levels():
+    # no leaf may charge a negative payment, so such a level would be dropped
+    # silently, and a grid of negative levels alone would pass vacuously
+    dom = adversarial_domain(MU22, "mu-single-minded")
+    for grid, level in (((-1,), "-1"), ((-1, 0), "-1"), ((0, Fraction(-1, 2), 1), "-1/2")):
+        with pytest.raises(ValueError, match=f"payment grid level {level} is negative"):
+            SearchSpace(domain=dom, payment_grid=grid)
+
+
 def test_budget_is_read_strictly():
     # a budget is a real number of seconds: a bool is no number, a string is
     # not read, NaN is never reached and a negative budget is meaningless
@@ -309,7 +318,7 @@ def test_class_words_carry_only_read_bits(monkeypatch):
         return {c[1] for classes, _, _ in scan.memo.values() for c in classes}
 
     with monkeypatch.context() as patch:
-        patch.setattr("ospcheck.search._mu_fixture_profiles", None)
+        patch.setattr("ospcheck.search._mu_fixture_bounds", None)
         refute = _Scan(SearchSpace(domain=augmented, payment_grid=grid), Fraction(2),
                        beating_only=True)
         refute.classes(refute.full)
@@ -390,11 +399,16 @@ def test_verdict_carries_class_description_and_caveat():
 def test_partitions_pinned():
     """Partitions into at least two blocks, in restricted-growth order: Bell(k) - 1
     of them for k elements, pinned by SHA-256 for 1 to 5 elements."""
-    assert [len(_partitions(tuple(range(k)))) for k in range(1, 6)] == [0, 1, 4, 14, 51]
-    assert _partitions((0, 1, 2)) == [
+    def partitions(k):
+        # blocks are bitmasks; read them back as element tuples
+        return [tuple(tuple(vi for vi in range(k) if block >> vi & 1) for block in part)
+                for part in _partitions((1 << k) - 1)]
+
+    assert [len(partitions(k)) for k in range(1, 6)] == [0, 1, 4, 14, 51]
+    assert partitions(3) == [
         ((0, 1), (2,)), ((0, 2), (1,)), ((0,), (1, 2)), ((0,), (1,), (2,)),
     ]
-    digest = hashlib.sha256(repr([_partitions(tuple(range(k))) for k in range(1, 6)]).encode())
+    digest = hashlib.sha256(repr([partitions(k) for k in range(1, 6)]).encode())
     assert digest.hexdigest() == "893652573f657d87f9f46a033fc450fd659ec16408728897805c73eb5c2c7db7"
 
 

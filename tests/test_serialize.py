@@ -31,6 +31,7 @@ from ospcheck.serialize import (
     parse_mechanism,
     serialize_domain,
     serialize_mechanism,
+    valuation_from_json,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -137,6 +138,13 @@ def test_wrong_format_and_bad_rational():
     """
     with pytest.raises(ParseError, match="bad rational"):
         parse_domain(doc)
+
+
+def test_valuation_entry_errors():
+    with pytest.raises(ParseError, match="unknown valuation tag 'bogus'"):
+        valuation_from_json({"tag": "bogus"})
+    with pytest.raises(ParseError, match="single-minded-mu valuation has no 'value' field"):
+        valuation_from_json({"tag": "single-minded-mu", "quantity": 1})
 
 
 #: Strings that stress escaping: quotes, backslashes, control characters,

@@ -16,6 +16,7 @@ from ospcheck import (
     is_decisive,
     minimal_price,
     second_price_single_item,
+    serial_posted_price,
 )
 
 from helpers import oracle_decisive, random_setting, random_tree_spec
@@ -117,6 +118,28 @@ def test_decisive_matches_enumeration_oracle():
         assert is_decisive(tree, nid, player, bundle, price) == oracle_decisive(
             tree, nid, player, bundle, price
         )
+
+
+def test_decisive_reads_price_strictly():
+    # a price is an exact rational: 0.3 is not 3/10, and True is no price
+    ca11 = AuctionSetting(kind="combinatorial", n=1, m=1)
+    tree = serial_posted_price("3/10", 1, ca11).tree
+    item = frozenset({0})
+    assert minimal_price(tree, tree.root, 0, item) == Fraction(3, 10)
+    assert is_decisive(tree, tree.root, 0, item, Fraction(3, 10))
+    assert is_decisive(tree, tree.root, 0, item, "3/10")
+    for bad in (0.3, True):
+        with pytest.raises(MechanismError, match="bad rational"):
+            is_decisive(tree, tree.root, 0, item, bad)
+
+
+def test_unknown_node_rejected():
+    tree = second_price_single_item(2).tree
+    for query in (lambda: minimal_price(tree, "nope", 0, frozenset()),
+                  lambda: is_decisive(tree, "nope", 0, frozenset(), 0),
+                  lambda: classify_continue_or_quit(tree, "nope")):
+        with pytest.raises(MechanismError, match="unknown node 'nope'"):
+            query()
 
 
 def test_classify_continue_or_quit():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ospcheck import (
     AdditiveValuation,
     AuctionSetting,
+    Domain,
     GeneralCA,
     GeneralMU,
     SingleMindedCA,
@@ -227,3 +228,36 @@ def test_general_tables_accept_only_monotone(data):
     else:
         with pytest.raises(ValuationError):
             GeneralCA(values=tuple(raw))
+
+
+def test_valuation_input_errors():
+    """Each check on a valuation, a domain or a fixture's arguments raises
+    ValuationError with its reason."""
+    one = SingleMindedMU(quantity=1, value=Fraction(1))
+    additive = AdditiveValuation(values=(Fraction(1), Fraction(1)))
+    ca32 = AuctionSetting(kind="combinatorial", n=3, m=2)
+    cases = (
+        (lambda: SingleMindedCA(bundle=frozenset({0}), value=Fraction(-1)), "must be nonnegative"),
+        (lambda: SingleMindedCA(bundle=frozenset(), value=Fraction(1)), "bundle must be nonempty"),
+        (lambda: SingleMindedMU(quantity=1, value=Fraction(-1)), "must be nonnegative"),
+        (lambda: SingleMindedMU(quantity=0, value=Fraction(1)), "quantity must be at least 1"),
+        (lambda: GeneralCA(values=(Fraction(0),) * 3), "length must be a power of two"),
+        (lambda: GeneralCA(values=()), "length must be a power of two"),
+        (lambda: GeneralMU(values=()), "empty quantity table"),
+        (lambda: GeneralMU(values=(Fraction(1),)), "v(0) must be 0"),
+        (lambda: make_valuation("bogus"), "unknown valuation tag 'bogus'"),
+        (lambda: Domain(setting=MU22, players=((one,),)), "one valuation list per player"),
+        (lambda: Domain(setting=MU22, players=((one,), ())), "nonempty valuation list"),
+        (lambda: Domain(setting=MU22, players=((one,), (additive,))),
+         "additive valuation incompatible with multi-unit setting"),
+        (lambda: adversarial_domain(MU22, "mu-single-minded", featured=(0, 0)),
+         "two distinct player ids"),
+        (lambda: adversarial_domain(MU22, "mu-single-minded", featured=(0, 2)),
+         "two distinct player ids"),
+        (lambda: adversarial_domain(ca32, "additive", featured=(1, 2)), "distinct target items"),
+        (lambda: restricted_additive_domain(1, 2, MU22), "domain is combinatorial"),
+    )
+    for make, message in cases:
+        with pytest.raises(ValuationError) as caught:
+            make()
+        assert message in str(caught.value)
