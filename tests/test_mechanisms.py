@@ -197,7 +197,8 @@ def test_constructor_input_errors():
          "need one strategy table per player"),
         (lambda: MechanismBundle(tree=sp.tree, strategies=({}, sp.strategies[1]), domain=sp.domain),
          "strategy of player 0 misses domain valuations"),
-        (lambda: second_price_single_item(2, tiebreak_winner=2), "tiebreak winner must be a player id"),
+        (lambda: second_price_single_item(2, tiebreak_winner=2),
+         "tiebreak winner must be a player id"),
         (lambda: second_price_single_item(0), "K must be at least 1"),
         (lambda: grand_bundle_ascending(MU22, 0), "K must be at least 1"),
         (lambda: serial_posted_price(1, 3, MU22), "posted-price mechanism is combinatorial"),

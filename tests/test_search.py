@@ -22,7 +22,9 @@ from ospcheck import (
     falsify_impossibility,
     welfare_ratio,
 )
+from ospcheck.checkers import _mu_fixture_bounds
 from ospcheck.search import (
+    LOW_VIOL,
     MISSES_MINMN,
     MISSES_TARGET,
     SQUARE_VIOL,
@@ -342,6 +344,27 @@ def test_class_words_carry_only_read_bits(monkeypatch):
     assert fixture.audit_applicable
     assert functools.reduce(int.__or__, words(fixture)) == (
         MISSES_TARGET | MISSES_MINMN | SQUARE_VIOL)
+
+
+def test_leaf_flags_read_the_declared_bounds():
+    # a bound holds a bidder only if her bundle covers the declared one; the
+    # scan lists no leaf that breaks IR, where that test never decides, so
+    # these leaves are made by hand
+    dom = adversarial_domain(MU22, "mu-single-minded")
+    scan = _Scan(SearchSpace(domain=dom, payment_grid=(0, 5)), Fraction(2))
+    (all_one, _, _), (spike, _, _) = _mu_fixture_bounds(MU22, dom.players)
+
+    def bit(profile):
+        return 1 << sum(dom.players[i].index(v) * scan.strides[i] for i, v in enumerate(profile))
+
+    for alloc, profile, word in (
+            ((2, 0), spike, SQUARE_VIOL),  # the all-units winner pays 5 > k^2 = 4
+            ((1, 1), spike, 0),            # one unit does not cover all m = 2
+            ((1, 0), all_one, LOW_VIOL),   # a winner pays 5 > 1
+            ((0, 1), all_one, 0)):         # a bidder with no unit is not held
+        pays = (5 * scan.scale, 0)
+        got = scan.leaf_flags(bit(profile), scan.allocations.index(alloc), pays)
+        assert got & (LOW_VIOL | SQUARE_VIOL) == word, alloc
 
 
 def test_counterexample_reverifies():
