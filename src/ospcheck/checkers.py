@@ -11,7 +11,11 @@ the first witness found is independent of how callers partition the work.
 The IR, OSP and DSIC checkers, the bad-leaf scan and the welfare ratio
 compare integers: every value and payment they read is scaled by one common
 denominator, in a table built once per tree and domain (``_Table``).  Their
-witnesses and reports carry the exact ``Fraction`` values.
+witnesses and reports carry the exact ``Fraction`` values.  The table's
+values, welfare sums and OPT / SW convention are those of ``ExactValues``,
+which the counterexample search (``search._Scan``) reads too, so both judge
+a ratio by one definition.  ``opt_welfare``, ``social_welfare`` and
+``mu_payment_bounds`` read ``Fraction`` values and stay independent of it.
 
 The table holds each player's utilities under each valuation as one list in
 preorder leaf order, and a subtree's leaves are one slice of it
@@ -25,6 +29,7 @@ after ``check_osp`` on one tree reuses every answer ``check_osp`` computed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,64 +116,75 @@ def _realized(tree: MechanismTree, strategies: Sequence, domain):
         yield profile, behaviors, leaf_id, path
 
 
-def scaled_values(setting: AuctionSetting, players, payments) -> tuple:
-    """``(allocations, scale, values)``: every value a player's valuations take
-    on the bundles of the valid allocations, as exact integers.
+class ExactValues:
+    """The players' values for the valid allocations, and their welfare, as
+    integers over one common denominator.
 
-    ``allocations`` are the valid allocations in ``enumerate_allocations``
-    order.  ``scale`` is the lcm of the denominators of those values and of
-    ``payments``; a rational ``x`` among them is stored as ``x.numerator *
-    (scale // x.denominator)``, and ``Fraction(x, scale)`` gives it back.
-    ``values[i][bundle]`` is player i's row of scaled values for ``bundle``,
-    one per valuation.
+    ``allocations`` are in ``enumerate_allocations`` order, and ``index``
+    maps each one to its position.  ``scale`` is the lcm of the values' and
+    the ``payments``' denominators: ``scaled(x)`` stores such a rational as
+    an integer and ``exact(y)`` gives it back.  ``rows[a][i]`` is player i's
+    row of values, one per valuation, for her bundle in allocation a.  Over
+    the profiles in product order, built on first use, ``welfare[a][p]`` is
+    allocation a's summed value at the p-th profile and ``optima[p]`` the
+    largest; ``ratio(a, p)`` is OPT / SW there.
     """
-    allocations = tuple(enumerate_allocations(setting))
-    raw = [
-        {b: [evaluate(v, b) for v in vs] for b in {a[i] for a in allocations}}
-        for i, vs in enumerate(players)
-    ]
-    denominators = {x.denominator for rows in raw for row in rows.values() for x in row}
-    denominators.update(p.denominator for p in payments)
-    scale = lcm(*denominators)
-    values = [
-        {b: [x.numerator * (scale // x.denominator) for x in row] for b, row in rows.items()}
-        for rows in raw
-    ]
-    return allocations, scale, values
+
+    def __init__(self, setting: AuctionSetting, players, payments):
+        self.allocations = tuple(enumerate_allocations(setting))
+        self.index = {a: ai for ai, a in enumerate(self.allocations)}
+        raw = [
+            {b: [evaluate(v, b) for v in vs] for b in {a[i] for a in self.allocations}}
+            for i, vs in enumerate(players)
+        ]
+        denominators = {x.denominator for rows in raw for row in rows.values() for x in row}
+        denominators.update(p.denominator for p in payments)
+        self.scale = lcm(*denominators)
+        values = [{b: list(map(self.scaled, row)) for b, row in rows.items()} for rows in raw]
+        self.rows = [[values[i][b] for i, b in enumerate(a)] for a in self.allocations]
+
+    def scaled(self, x) -> int:
+        return x.numerator * (self.scale // x.denominator)
+
+    def exact(self, y: int) -> Fraction:
+        return Fraction(y, self.scale)
+
+    @functools.cached_property
+    def welfare(self) -> list:
+        return [list(map(sum, itertools.product(*rows))) for rows in self.rows]
+
+    @functools.cached_property
+    def optima(self) -> list:
+        return list(map(max, zip(*self.welfare)))
+
+    def ratio(self, a: int, p: int) -> Optional[Fraction]:
+        """OPT / SW of allocation a at profile p: 1 when both are 0, and None
+        (unbounded) when only SW is."""
+        sw, opt = self.welfare[a][p], self.optima[p]
+        if sw:
+            return Fraction(opt, sw)
+        return None if opt else Fraction(1)
 
 
-def welfare_optima(rows, sizes):
-    """Per profile of valuation indices, in product order over ``sizes``, the
-    largest summed scaled value over the allocations: ``rows[a][i]`` is player
-    i's row of values (``scaled_values``) for her bundle in allocation a."""
-    for vis in itertools.product(*map(range, sizes)):
-        yield max(sum(row[vi] for row, vi in zip(alloc, vis)) for alloc in rows)
-
-
-class _Table:
+class _Table(ExactValues):
     """Every utility and value the checkers compare, as exact integers.
 
-    ``allocations``, ``scale`` and ``values`` are those of ``scaled_values``
-    with the leaf payments; a leaf's allocation is valid, so its bundles are
-    among those of ``values``.  ``utils[i][vi]`` lists player i's scaled
+    The ``ExactValues`` of the tree's leaf payments; a leaf's allocation is
+    valid, so it has an ``index``.  ``utils[i][vi]`` lists player i's scaled
     utility under her vi-th valuation at each leaf, in ``tree.leaf_ids``
     order.  ``answers`` keeps ``_osp_violation`` answers (``_plan_answer``).
     """
 
     def __init__(self, tree: MechanismTree, players):
         leaves = [tree.nodes[lid] for lid in tree.leaf_ids]
-        payments = (p for leaf in leaves for p in leaf.payments)
-        self.allocations, self.scale, self.values = scaled_values(tree.setting, players, payments)
+        super().__init__(tree.setting, players, (p for leaf in leaves for p in leaf.payments))
         self.utils = [[[] for _ in vs] for vs in players]
         for leaf in leaves:
-            for i, (b, p) in enumerate(zip(leaf.allocation, leaf.payments)):
-                pay = p.numerator * (self.scale // p.denominator)
-                for u, x in zip(self.utils[i], self.values[i][b]):
+            for us, row, p in zip(self.utils, self.rows[self.index[leaf.allocation]], leaf.payments):
+                pay = self.scaled(p)
+                for u, x in zip(us, row):
                     u.append(x - pay)
         self.answers: dict = {}
-
-    def exact(self, x: int) -> Fraction:
-        return Fraction(x, self.scale)
 
 
 def _table(tree: MechanismTree, domain) -> _Table:
@@ -447,33 +463,23 @@ def social_welfare(profile: Sequence, allocation) -> Fraction:
 def welfare_ratio(tree: MechanismTree, strategies: Sequence, domain) -> RatioReport:
     """Exact worst-case OPT over realized welfare across the domain.
 
-    Per profile, OPT is the largest summed value over the valid allocations
-    and realized welfare the summed value at the reached leaf, both as
-    integers over the table's common denominator, so the ratio is the
-    integer quotient ``Fraction(opt, sw)``.  Ties keep the first profile.
-    Conventions: 0/0 counts as 1; positive OPT over zero realized welfare is
-    unbounded and dominates every finite ratio.
+    Per profile, the ratio is ``ExactValues.ratio`` of the reached leaf's
+    allocation on the tree's table: 0/0 counts as 1, and a positive OPT over
+    zero realized welfare is unbounded and dominates every finite ratio.
+    Ties keep the first profile.
     """
     table = _table(tree, domain)
-    sizes = [len(vs) for vs in _players(domain)]
-    rows = [[table.values[i][b] for i, b in enumerate(a)] for a in table.allocations]
-    optima = welfare_optima(rows, sizes)
-    indices = itertools.product(*map(range, sizes))
-    worst = None  # (ratio, profile, sw, opt)
-    for vis, opt, (profile, _, leaf_id, _) in zip(indices, optima, _realized(tree, strategies, domain)):
-        leaf = tree.nodes[leaf_id]
-        sw = sum(table.values[i][b][vi] for i, (b, vi) in enumerate(zip(leaf.allocation, vis)))
-        if sw:
-            ratio = Fraction(opt, sw)
-        elif opt:
-            return RatioReport(None, profile, table.exact(sw), table.exact(opt))
-        else:
-            ratio = Fraction(1)
+    worst = None  # (ratio, profile, allocation index, profile index)
+    for p, (profile, _, leaf_id, _) in enumerate(_realized(tree, strategies, domain)):
+        a = table.index[tree.nodes[leaf_id].allocation]
+        ratio = table.ratio(a, p)
+        if ratio is None:
+            worst = (None, profile, a, p)
+            break
         if worst is None or ratio > worst[0]:
-            worst = (ratio, profile, sw, opt)
-    assert worst is not None
-    ratio, profile, sw, opt = worst
-    return RatioReport(ratio, profile, table.exact(sw), table.exact(opt))
+            worst = (ratio, profile, a, p)
+    ratio, profile, a, p = worst
+    return RatioReport(ratio, profile, table.exact(table.welfare[a][p]), table.exact(table.optima[p]))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when everything passed (or the search found no
 counterexample), 1 when a property failed or a counterexample was found or
-the search budget ran out, 2 for usage or input errors.
+the search budget ran out, 2 for usage or input errors, including a tree or
+document nested past the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -127,6 +128,8 @@ def _cmd_search(args) -> int:
         report.add_input(args.config, cdata)
         try:
             config = json.loads(cdata)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"config is not UTF-8 text: {exc}")
         except json.JSONDecodeError as exc:
             raise ParseError(f"config syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}")
         if not isinstance(config, dict):
@@ -179,7 +182,6 @@ def _cmd_search(args) -> int:
 def _cmd_fixtures(args) -> int:
     report = ReportDocument(command="fixtures")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     m, n = args.m, args.n
     ca = AuctionSetting(kind=COMBINATORIAL, n=n, m=m)
     mu = AuctionSetting(kind=MULTI_UNIT, n=n, m=m)
@@ -203,11 +205,16 @@ def _cmd_fixtures(args) -> int:
             grand_bundle_ascending(mu, k**4, domain=adversarial_domain(mu, "mu-single-minded"))
         ),
     }
+    # every document is built first, so a build that fails writes nothing
     written = []
-    for name, text in files.items():
-        path = out / name
-        path.write_text(text, encoding="utf-8")
-        written.append(str(path))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            path = out / name
+            path.write_text(text, encoding="utf-8")
+            written.append(str(path))
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}")
     report.add({"kind": "fixtures", "written": written})
     _emit(report, args.format)
     return 0
@@ -273,6 +280,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, ParseError, MechanismError, ValuationError) as exc:
         print(f"ospcheck: error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("ospcheck: error: nesting exceeds the interpreter's recursion limit", file=sys.stderr)
         return 2
 
 

@@ -154,10 +154,7 @@ class ReportDocument:
                     )
             elif kind == "search":
                 lines.append(f"[{'PASS' if item['outcome'] == 'no-counterexample' else 'NOTE'}] search outcome: {item['outcome']}")
-                lines.append(
-                    f"       examined {item['examined']} mechanisms, {item['survivors']} survivors,"
-                    f" {item['elapsed_seconds']}s"
-                )
+                lines.append(f"       {item['survivors']} survivors, {item['elapsed_seconds']}s")
                 if item["outcome"] == "budget-exhausted":
                     progress = item["progress"]
                     lines.append(

@@ -65,15 +65,17 @@ Four reductions keep the join small:
   fold results memoized per rest.
 
 The scan judges a tree by its violation word, an int with one bit per miss:
-``MISSES_TARGET`` or ``MISSES_MINMN`` when its ratio misses the target or
-min(m, n) on some profile, ``LOW_VIOL`` or ``SQUARE_VIOL`` when the first or
-second payment bound of ``checkers._mu_fixture_bounds`` (the table that
-``mu_payment_bounds`` reads) fails.  A leaf's word comes from the profiles it
-covers (``_Scan.leaf_flags``, from one predicate table built per call), and a
-tree's is the OR of its leaves'; its leaves cover disjoint profile sets whose
-union is every profile reaching the tree, so the OR is the verdict over those
-profiles.  Only an audited scan of the multi-unit fixture sets the last three
-bits, and a refute scan lists no leaf that misses the target: its words are 0.
+``MISSES_TARGET`` or ``MISSES_MINMN`` when on some profile its ratio, read
+from ``checkers.ExactValues`` as ``welfare_ratio`` reads it, is unbounded or
+not below the target or min(m, n); ``LOW_VIOL`` or ``SQUARE_VIOL`` when the
+first or second payment bound of ``checkers._mu_fixture_bounds`` (the table
+that ``mu_payment_bounds`` reads) fails.  A leaf's word comes from the
+profiles it covers (``_Scan.leaf_flags``, from one predicate table built per
+call), and a tree's is the OR of its leaves'; its leaves cover disjoint
+profile sets whose union is every profile reaching the tree, so the OR is
+the verdict over those profiles.  Only an audited scan of the multi-unit
+fixture sets the last three bits, and a refute scan lists no leaf that
+misses the target: its words are 0.
 
 Stream order is that of a depth-first walk of the class.  At a position
 (the players' consistent sets) it first lists every leaf: the valid
@@ -108,9 +110,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .checkers import _mu_fixture_bounds, scaled_values, welfare_optima
-from .mechanisms import MechanismBundle
-from .model import Behavior, InternalNode, Leaf, MechanismTree, bundle_contains, read_rational
+from .checkers import ExactValues, _mu_fixture_bounds
+from .mechanisms import MechanismBundle, _Choices
+from .model import InternalNode, Leaf, MechanismTree, bundle_contains, read_rational
 from .valuations import Domain
 
 GRID_CAVEAT = (
@@ -232,9 +234,9 @@ class _Scan:
     descriptor per class is kept so a counterexample can still be
     materialized.
 
-    Values and payments are integers over the common denominator ``scale``
-    of ``checkers.scaled_values`` with the payment grid; ``rows[ai][i]`` is
-    player i's row of values for her bundle in the ai-th allocation.
+    Values, welfare and ratios are those of ``values``, the
+    ``checkers.ExactValues`` of the payment grid: ``allocations``, ``scale``
+    and ``rows`` are its own, and ``grid`` is the grid scaled.
 
     Class entry layout: (summary, word, count, descriptor) where summary is
     a per-player tuple of row ids, interned in ``row_ids`` (``row_of[id]``
@@ -264,11 +266,9 @@ class _Scan:
         self.deadline = deadline
         self.beating_only = beating_only
 
-        self.allocations, self.scale, values = scaled_values(
-            self.setting, self.players, space.payment_grid
-        )
-        self.rows = [[values[i][b] for i, b in enumerate(a)] for a in self.allocations]
-        self.grid = [p.numerator * (self.scale // p.denominator) for p in space.payment_grid]
+        values = self.values = ExactValues(self.setting, self.players, space.payment_grid)
+        self.allocations, self.scale, self.rows = values.allocations, values.scale, values.rows
+        self.grid = list(map(values.scaled, space.payment_grid))
         # profile indexing, row-major over player valuation indices
         self.strides = [0] * self.n
         stride = 1
@@ -291,25 +291,17 @@ class _Scan:
         target; for an audited scan of the multi-unit fixture, also those where
         it misses min(m, n), and the payment bounds of ``_mu_fixture_bounds``
         as (flag, profile bit, bundle, scaled cap) entries."""
-        opt = list(welfare_optima(self.rows, self.sizes))
-        sw = [
-            [sum(row[vi] for row, vi in zip(rows, pv))
-             for pv in itertools.product(*map(range, self.sizes))]
-            for rows in self.rows
-        ]
+        ratio, profiles = self.values.ratio, range(len(self.values.optima))
 
-        def misses(num: int, den: int) -> list:
-            # OPT / SW not below num / den; a zero optimum (0/0) never misses
-            return [
-                sum(1 << p for p, (w, o) in enumerate(zip(row, opt)) if o and o * den >= w * num)
-                for row in sw
-            ]
+        def misses(bound) -> list:
+            return [sum(1 << p for p in profiles if (r := ratio(ai, p)) is None or r >= bound)
+                    for ai in range(len(self.rows))]
 
-        self.misses_target = misses(target.numerator, target.denominator)
+        self.misses_target = misses(target)
         bounds = None if self.beating_only else _mu_fixture_bounds(self.setting, self.players)
         self.audit_applicable = bounds is not None
         if bounds is not None:
-            self.misses_minmn = misses(min(self.setting.m, self.setting.n), 1)
+            self.misses_minmn = misses(min(self.setting.m, self.setting.n))
             # an integer payment exceeds the cap exactly when it exceeds its floor
             self.bounds = [
                 (flag, 1 << sum(self.players[i].index(v) * self.strides[i]
@@ -363,40 +355,27 @@ class _Scan:
     def materialize(self, descriptor: tuple) -> MechanismBundle:
         """The member ``descriptor`` names: node ids ``u0, u1, ...`` in preorder; a plan
         sends the index of the block holding its valuation, else ``"0"``."""
-        choices: list = [
-            [dict() for _ in range(self.sizes[i])] for i in range(self.n)
-        ]
+        choices = _Choices(self.space.domain)
         nodes: dict = {}
-        root = self._add_node(descriptor, self.full, nodes, choices)
+        root = self._add_node(descriptor, nodes, choices)
         tree = MechanismTree(setting=self.setting, nodes=nodes, root=root)
-        strategies = tuple(
-            {
-                v: Behavior(owner=i, choices=choices[i][vi])
-                for vi, v in enumerate(self.players[i])
-            }
-            for i in range(self.n)
-        )
-        return MechanismBundle(tree=tree, strategies=strategies, domain=self.space.domain)
+        return MechanismBundle(tree=tree, strategies=choices.tables(), domain=self.space.domain)
 
-    def _add_node(self, desc: tuple, masks: tuple, nodes: dict, choices: list) -> str:
+    def _add_node(self, desc: tuple, nodes: dict, choices: _Choices) -> str:
         # a method, not a closure over itself and the scan: a scan in no
         # reference cycle is freed as soon as ``falsify_impossibility`` returns
         nid = f"u{len(nodes)}"
         nodes[nid] = None  # reserve before children so ids follow preorder
         if desc[0] == "leaf":
             _, ai, pays = desc
-            payments = tuple(Fraction(p, self.scale) for p in pays)
+            payments = tuple(map(self.values.exact, pays))
             nodes[nid] = Leaf(allocation=self.allocations[ai], payments=payments)
             return nid
         _, j, blocks, subs = desc
-        for vi in range(self.sizes[j]):
-            choices[j][vi][nid] = next(
-                (str(t) for t, block in enumerate(blocks) if block >> vi & 1), "0"
-            )
-        edges = {
-            str(t): self._add_node(sub, masks[:j] + (block,) + masks[j + 1:], nodes, choices)
-            for t, (block, sub) in enumerate(zip(blocks, subs))
-        }
+        index = self.players[j].index
+        choices.record(nid, j, lambda v: next(
+            (str(t) for t, block in enumerate(blocks) if block >> index(v) & 1), "0"))
+        edges = {str(t): self._add_node(sub, nodes, choices) for t, sub in enumerate(subs)}
         nodes[nid] = InternalNode(speaker=j, edges=dict(sorted(edges.items())))
         return nid
 

@@ -204,12 +204,18 @@ def _object(pairs) -> dict:
 
 
 def _load_json(data):
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    """The JSON document in UTF-8 bytes or a str; bad bytes, bad syntax and
+    nesting past the recursion limit (about 500 tree levels) raise ParseError."""
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         return json.loads(data, object_pairs_hook=_object)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply to read") from None
 
 
 def parse_mechanism(data):

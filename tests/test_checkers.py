@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -44,6 +45,8 @@ from helpers import (
     oracle_dsic,
     oracle_osp,
     random_instance,
+    random_setting,
+    random_valuation,
 )
 
 CA21 = AuctionSetting(kind="combinatorial", n=2, m=1)
@@ -86,7 +89,7 @@ def charging_loser_bundle():
 
 def test_ir_failure_witness():
     verdict = check_ir(*charging_loser_bundle().checker_args())
-    assert not verdict.passed
+    assert not verdict.passed and not verdict
     assert verdict.witness.player == 0
     assert verdict.witness.utility == -1
 
@@ -94,6 +97,7 @@ def test_ir_failure_witness():
 def test_ir_passes_reference_mechanisms():
     sp = serial_posted_price(1, 3, AuctionSetting(kind="combinatorial", n=2, m=2))
     assert check_ir(*sp.checker_args()).passed
+    assert check_ir(*sp.checker_args())  # a verdict is truthy when it passed
     gb = grand_bundle_ascending(MU22, 16, domain=adversarial_domain(MU22, "mu-single-minded"))
     assert check_ir(*gb.checker_args()).passed
 
@@ -505,6 +509,11 @@ def test_first_divergence():
     sub = Domain(setting=CA21, players=((fig1.domain.players[0][0],), fig1.domain.players[1]))
     div = first_divergence(fig1.tree, fig1.strategies, sub)
     assert div.player == 1 and div.vertex == "N2"
+    # with the announcer's high value alone no profile reaches N2, which is
+    # skipped, and the responder diverges at N3
+    sub = Domain(setting=CA21, players=((fig1.domain.players[0][1],), fig1.domain.players[1]))
+    div = first_divergence(fig1.tree, fig1.strategies, sub)
+    assert div.player == 1 and div.vertex == "N3"
 
 
 def test_first_divergence_reports_shallowest_vertex():
@@ -622,6 +631,32 @@ def test_mu_payment_bounds_reference_and_violation():
     assert report.all_units_winner == (0, Fraction(5))
     assert report.all_units_within_square is False
     assert welfare_ratio(*bundle.checker_args()).unbounded
+
+
+def test_exact_values_match_the_fraction_oracles():
+    """On seeded random domains, ``ExactValues`` holds ``social_welfare`` and
+    ``opt_welfare`` scaled, and its ratio counts 0/0 as 1 and a positive OPT
+    over zero welfare as unbounded (None)."""
+    rng = random.Random(1818)
+    for _ in range(40):
+        setting = random_setting(rng)
+        players = tuple(
+            tuple(random_valuation(rng, setting, MIXED_LEVELS) for _ in range(rng.randint(1, 3)))
+            for _ in range(setting.n))
+        payments = [rng.choice(MIXED_LEVELS) for _ in range(2)]
+        values = checkers.ExactValues(setting, players, payments)
+        assert all(values.exact(values.scaled(p)) == p for p in payments)
+        profiles = list(itertools.product(*players))
+        for a, alloc in enumerate(values.allocations):
+            assert values.index[alloc] == a
+            assert values.welfare[a] == [social_welfare(profile, alloc) * values.scale
+                                         for profile in profiles]
+        assert values.optima == [opt_welfare(profile, setting)[0] * values.scale
+                                 for profile in profiles]
+    zero, one = AdditiveValuation(values=(Fraction(0),)), AdditiveValuation(values=(Fraction(1),))
+    values = checkers.ExactValues(CA21, ((zero, one), (zero,)), ())
+    nobody, first = values.index[(frozenset(), frozenset())], values.index[(frozenset({0}), frozenset())]
+    assert (values.ratio(nobody, 0), values.ratio(nobody, 1), values.ratio(first, 1)) == (1, None, 1)
 
 
 def brute_ratio(bundle):

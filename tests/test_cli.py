@@ -3,6 +3,7 @@
 import functools
 import json
 import operator
+import re
 from pathlib import Path
 
 from ospcheck.cli import main
@@ -89,6 +90,21 @@ def test_fixtures_command(tmp_path, capsys):
         capsys, "verify", "--mechanism", str(out_dir / "serial_posted_price.json")
     )
     assert code == 0
+
+
+def test_fixtures_write_errors_exit_2(tmp_path, capsys):
+    # a file where the directory should be, or above it, is reported, not raised
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out_dir in (taken, taken / "sub"):
+        code, out, err = run_cli(capsys, "fixtures", "--out", str(out_dir))
+        assert code == 2 and not out and f"cannot write {out_dir}" in err, err
+    # m = 4 asks for a K = 256 clock, deeper than the recursion limit allows;
+    # nothing is written, not even the directory
+    out_dir = tmp_path / "deep"
+    code, out, err = run_cli(capsys, "fixtures", "--out", str(out_dir), "--m", "4")
+    assert code == 2 and not out and "recursion limit" in err, err
+    assert not out_dir.exists()
 
 
 def test_search_command_with_flags(tmp_path, capsys):
@@ -213,6 +229,18 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--mechanism", str(bad))
     assert code == 2
     assert "line" in err
+    # bytes that are not UTF-8, and nesting past the JSON decoder's recursion
+    # limit: 600 one-edge nodes, two JSON objects each
+    bad.write_bytes(b"\xff\xfe")
+    for argv in (("verify", "--mechanism"), ("search", "--target-ratio", "2", "--domain")):
+        code, out, err = run_cli(capsys, *argv, str(bad))
+        assert code == 2 and not out and "not UTF-8 text" in err, err
+    bad.write_text('{"format": "ospcheck-mechanism", "version": 1, '
+                   '"setting": {"kind": "multi-unit", "n": 1, "m": 1}, "root": '
+                   + '{"speaker": 0, "edges": {"a": ' * 600
+                   + '{"allocation": [0], "payments": ["0/1"]}' + "}}" * 600 + "}")
+    code, out, err = run_cli(capsys, "analyze", "--mechanism", str(bad))
+    assert code == 2 and not out and "nested too deeply" in err, err
 
     from ospcheck import AuctionSetting, adversarial_domain
     from ospcheck.serialize import serialize_domain
@@ -233,6 +261,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         config.write_text(json.dumps(entry))
         code, _, err = run_cli(capsys, *search, "--config", str(config))
         assert code == 2 and repr(next(iter(entry))) in err
+    config.write_bytes(b'{"a": 1}\xff')
+    code, out, err = run_cli(capsys, "search", "--config", str(config))
+    assert code == 2 and not out and "config is not UTF-8 text" in err, err
     config.write_text('{"max_depth": 3}')  # no depth cap in the config either
     code, _, err = run_cli(capsys, *search, "--config", str(config))
     assert code == 2 and "unknown search config entry 'max_depth'" in err
@@ -372,6 +403,9 @@ def test_search_config_errors_and_inline_domain(tmp_path, capsys):
     config.write_text(json.dumps({"domain": domain, "target_ratio": "3", "grid": ["0", "1"]}))
     code, out, _ = run_cli(capsys, "search", "--config", str(config))
     assert code == 0 and "no-counterexample" in out
+    # the text report gives the survivor count once; the machine report
+    # keeps "examined" as an alias of it
+    assert re.search(r"\n       \d+ survivors, [\d.]+s\n", out) and "examined" not in out
 
 
 def test_search_rejects_negative_grid_levels(tmp_path, capsys):

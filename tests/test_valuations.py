@@ -92,6 +92,9 @@ def test_ca_adversarial_values():
     two = dom.players[1]
     assert two[0].bundle == frozenset({1})
     assert two[1].value == 5 and two[1].bundle == frozenset({1})
+    # a third player is not featured: she holds her own item's value 1 alone
+    three = adversarial_domain(AuctionSetting(kind="combinatorial", n=3, m=2), "ca-single-minded")
+    assert three.players[2] == (SingleMindedCA(bundle=frozenset({1}), value=Fraction(1)),)
 
 
 def test_additive_adversarial_values():
