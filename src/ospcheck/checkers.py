@@ -29,7 +29,6 @@ after ``check_osp`` on one tree reuses every answer ``check_osp`` computed.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,10 +123,9 @@ class ExactValues:
     maps each one to its position.  ``scale`` is the lcm of the values' and
     the ``payments``' denominators: ``scaled(x)`` stores such a rational as
     an integer and ``exact(y)`` gives it back.  ``rows[a][i]`` is player i's
-    row of values, one per valuation, for her bundle in allocation a.  Over
-    the profiles in product order, built on first use, ``welfare[a][p]`` is
-    allocation a's summed value at the p-th profile and ``optima[p]`` the
-    largest; ``ratio(a, p)`` is OPT / SW there.
+    row of values, one per valuation, for her bundle in allocation a.
+    ``welfare()`` generates the summed values per profile, and ``ratio``
+    holds the OPT / SW convention.
     """
 
     def __init__(self, setting: AuctionSetting, players, payments):
@@ -149,18 +147,16 @@ class ExactValues:
     def exact(self, y: int) -> Fraction:
         return Fraction(y, self.scale)
 
-    @functools.cached_property
-    def welfare(self) -> list:
-        return [list(map(sum, itertools.product(*rows))) for rows in self.rows]
+    def welfare(self):
+        """Per profile, in product order, ``(sums, opt)``: every allocation's
+        summed value there and the largest.  Generated, so no allocations x
+        profiles table is kept."""
+        for sums in zip(*(map(sum, itertools.product(*rows)) for rows in self.rows)):
+            yield sums, max(sums)
 
-    @functools.cached_property
-    def optima(self) -> list:
-        return list(map(max, zip(*self.welfare)))
-
-    def ratio(self, a: int, p: int) -> Optional[Fraction]:
-        """OPT / SW of allocation a at profile p: 1 when both are 0, and None
-        (unbounded) when only SW is."""
-        sw, opt = self.welfare[a][p], self.optima[p]
+    @staticmethod
+    def ratio(sw: int, opt: int) -> Optional[Fraction]:
+        """OPT / SW: 1 when both are 0, and None (unbounded) when only SW is."""
         if sw:
             return Fraction(opt, sw)
         return None if opt else Fraction(1)
@@ -170,7 +166,7 @@ class _Table(ExactValues):
     """Every utility and value the checkers compare, as exact integers.
 
     The ``ExactValues`` of the tree's leaf payments; a leaf's allocation is
-    valid, so it has an ``index``.  ``utils[i][vi]`` lists player i's scaled
+    valid, so as a tuple it has an ``index``.  ``utils[i][vi]`` lists player i's scaled
     utility under her vi-th valuation at each leaf, in ``tree.leaf_ids``
     order.  ``answers`` keeps ``_osp_violation`` answers (``_plan_answer``).
     """
@@ -180,7 +176,8 @@ class _Table(ExactValues):
         super().__init__(tree.setting, players, (p for leaf in leaves for p in leaf.payments))
         self.utils = [[[] for _ in vs] for vs in players]
         for leaf in leaves:
-            for us, row, p in zip(self.utils, self.rows[self.index[leaf.allocation]], leaf.payments):
+            rows = self.rows[self.index[tuple(leaf.allocation)]]
+            for us, row, p in zip(self.utils, rows, leaf.payments):
                 pay = self.scaled(p)
                 for u, x in zip(us, row):
                     u.append(x - pay)
@@ -463,23 +460,24 @@ def social_welfare(profile: Sequence, allocation) -> Fraction:
 def welfare_ratio(tree: MechanismTree, strategies: Sequence, domain) -> RatioReport:
     """Exact worst-case OPT over realized welfare across the domain.
 
-    Per profile, the ratio is ``ExactValues.ratio`` of the reached leaf's
-    allocation on the tree's table: 0/0 counts as 1, and a positive OPT over
-    zero realized welfare is unbounded and dominates every finite ratio.
-    Ties keep the first profile.
+    Per profile, the ratio is ``ExactValues.ratio`` of the best and the
+    reached leaf's welfare on the tree's table: 0/0 counts as 1, and a
+    positive OPT over zero realized welfare is unbounded and dominates every
+    finite ratio.  Ties keep the first profile.
     """
     table = _table(tree, domain)
-    worst = None  # (ratio, profile, allocation index, profile index)
-    for p, (profile, _, leaf_id, _) in enumerate(_realized(tree, strategies, domain)):
-        a = table.index[tree.nodes[leaf_id].allocation]
-        ratio = table.ratio(a, p)
+    worst = None  # (ratio, profile, sw, opt)
+    realized = _realized(tree, strategies, domain)
+    for (sums, opt), (profile, _, leaf_id, _) in zip(table.welfare(), realized):
+        sw = sums[table.index[tuple(tree.nodes[leaf_id].allocation)]]
+        ratio = table.ratio(sw, opt)
         if ratio is None:
-            worst = (None, profile, a, p)
+            worst = (None, profile, sw, opt)
             break
         if worst is None or ratio > worst[0]:
-            worst = (ratio, profile, a, p)
-    ratio, profile, a, p = worst
-    return RatioReport(ratio, profile, table.exact(table.welfare[a][p]), table.exact(table.optima[p]))
+            worst = (ratio, profile, sw, opt)
+    ratio, profile, sw, opt = worst
+    return RatioReport(ratio, profile, table.exact(sw), table.exact(opt))
 
 
 @dataclass(frozen=True)

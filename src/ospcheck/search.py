@@ -291,11 +291,12 @@ class _Scan:
         target; for an audited scan of the multi-unit fixture, also those where
         it misses min(m, n), and the payment bounds of ``_mu_fixture_bounds``
         as (flag, profile bit, bundle, scaled cap) entries."""
-        ratio, profiles = self.values.ratio, range(len(self.values.optima))
+        ratio = self.values.ratio
+        ratios = [[ratio(sw, opt) for sw in sums] for sums, opt in self.values.welfare()]
 
         def misses(bound) -> list:
-            return [sum(1 << p for p in profiles if (r := ratio(ai, p)) is None or r >= bound)
-                    for ai in range(len(self.rows))]
+            return [sum(1 << p for p, rs in enumerate(ratios) if (r := rs[a]) is None or r >= bound)
+                    for a in range(len(self.rows))]
 
         self.misses_target = misses(target)
         bounds = None if self.beating_only else _mu_fixture_bounds(self.setting, self.players)

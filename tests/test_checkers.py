@@ -36,7 +36,7 @@ from ospcheck import (
     welfare_ratio,
 )
 from ospcheck import checkers
-from ospcheck.model import MechanismError, MechanismTree
+from ospcheck.model import Leaf, MechanismError, MechanismTree
 
 from helpers import (
     MIXED_LEVELS,
@@ -646,17 +646,30 @@ def test_exact_values_match_the_fraction_oracles():
         payments = [rng.choice(MIXED_LEVELS) for _ in range(2)]
         values = checkers.ExactValues(setting, players, payments)
         assert all(values.exact(values.scaled(p)) == p for p in payments)
+        assert all(values.index[alloc] == a for a, alloc in enumerate(values.allocations))
         profiles = list(itertools.product(*players))
-        for a, alloc in enumerate(values.allocations):
-            assert values.index[alloc] == a
-            assert values.welfare[a] == [social_welfare(profile, alloc) * values.scale
-                                         for profile in profiles]
-        assert values.optima == [opt_welfare(profile, setting)[0] * values.scale
-                                 for profile in profiles]
-    zero, one = AdditiveValuation(values=(Fraction(0),)), AdditiveValuation(values=(Fraction(1),))
-    values = checkers.ExactValues(CA21, ((zero, one), (zero,)), ())
-    nobody, first = values.index[(frozenset(), frozenset())], values.index[(frozenset({0}), frozenset())]
-    assert (values.ratio(nobody, 0), values.ratio(nobody, 1), values.ratio(first, 1)) == (1, None, 1)
+        welfare = list(values.welfare())
+        assert len(welfare) == len(profiles)
+        for profile, (sums, opt) in zip(profiles, welfare):
+            assert list(sums) == [social_welfare(profile, alloc) * values.scale
+                                  for alloc in values.allocations]
+            assert opt == opt_welfare(profile, setting)[0] * values.scale
+    ratio = checkers.ExactValues.ratio
+    assert (ratio(0, 0), ratio(0, 3), ratio(2, 3), ratio(3, 3)) == (1, None, Fraction(3, 2), 1)
+
+
+def test_checkers_read_a_list_allocation():
+    """``MechanismTree`` accepts a leaf allocation given as a list of bundles;
+    the checkers judge such a tree as the one holding tuples."""
+    for bundle in (first_price_bundle(3), charging_loser_bundle(),
+                   serial_posted_price(1, 3, AuctionSetting(kind="combinatorial", n=2, m=2))):
+        tree = bundle.tree
+        nodes = {nid: Leaf(allocation=list(node.allocation), payments=node.payments)
+                 if isinstance(node, Leaf) else node for nid, node in tree.nodes.items()}
+        listed = MechanismBundle(tree=MechanismTree(tree.setting, nodes, tree.root),
+                                 strategies=bundle.strategies, domain=bundle.domain)
+        for check in (check_ir, check_osp, check_dsic, welfare_ratio):
+            assert check(*listed.checker_args()) == check(*bundle.checker_args())
 
 
 def brute_ratio(bundle):
