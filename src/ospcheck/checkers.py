@@ -10,12 +10,14 @@ the first witness found is independent of how callers partition the work.
 
 The IR, OSP and DSIC checkers, the bad-leaf scan and the welfare ratio
 compare integers: every value and payment they read is scaled by one common
-denominator, in a table built once per tree and domain (``_Table``).  Their
-witnesses and reports carry the exact ``Fraction`` values.  The table's
-values, welfare sums and OPT / SW convention are those of ``ExactValues``,
-which the counterexample search (``search._Scan``) reads too, so both judge
-a ratio by one definition.  ``opt_welfare``, ``social_welfare`` and
-``mu_payment_bounds`` read ``Fraction`` values and stay independent of it.
+denominator, in a table built once per tree and domain (``_Table``), with
+values for the leaves' bundles only: their cost follows the tree, and only
+the welfare ratio enumerates the (n+1)^m allocations.  Witnesses and reports
+carry the exact ``Fraction`` values.  The table's values, welfare sums and
+OPT / SW convention are those of ``ExactValues``, which the search
+(``search._Scan``) reads too, so both judge a ratio by one definition.
+``opt_welfare``, ``social_welfare`` and ``mu_payment_bounds`` read
+``Fraction`` values and stay independent of it.
 
 The table holds each player's utilities under each valuation as one list in
 preorder leaf order, and a subtree's leaves are one slice of it
@@ -29,6 +31,7 @@ after ``check_osp`` on one tree reuses every answer ``check_osp`` computed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,34 +118,59 @@ def _realized(tree: MechanismTree, strategies: Sequence, domain):
         yield profile, behaviors, leaf_id, path
 
 
-class ExactValues:
-    """The players' values for the valid allocations, and their welfare, as
-    integers over one common denominator.
+class _AutoDict(dict):
+    """A dict that fills itself: a missing key maps to ``make(key)``."""
 
-    ``allocations`` are in ``enumerate_allocations`` order, and ``index``
-    maps each one to its position.  ``scale`` is the lcm of the values' and
-    the ``payments``' denominators: ``scaled(x)`` stores such a rational as
-    an integer and ``exact(y)`` gives it back.  ``rows[a][i]`` is player i's
-    row of values, one per valuation, for her bundle in allocation a.
-    ``welfare()`` generates the summed values per profile, and ``ratio``
-    holds the OPT / SW convention.
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        got = self[key] = self.make(key)
+        return got
+
+
+def _scaled(x, scale: int) -> int:
+    return x.numerator * (scale // x.denominator)
+
+
+class ExactValues:
+    """The players' values of bundles, and their welfare over the valid
+    allocations, as integers over one common denominator.
+
+    ``scale`` is the lcm of the valuations' ``denominator`` and the
+    ``payments``' denominators: ``scaled(x)`` stores such a rational, or a
+    bundle's value, as an integer and ``exact(y)`` gives it back.
+    ``values[i][b]`` is player i's row of values, one per valuation, for
+    bundle b.  Like it, the valid ``allocations`` (``enumerate_allocations``
+    order), their ``index`` and ``rows[a][i]``, player i's row for her bundle
+    in allocation a, are built on first use.  ``welfare()`` generates the
+    summed values per profile, and ``ratio`` holds the OPT / SW convention.
     """
 
     def __init__(self, setting: AuctionSetting, players, payments):
-        self.allocations = tuple(enumerate_allocations(setting))
-        self.index = {a: ai for ai, a in enumerate(self.allocations)}
-        raw = [
-            {b: [evaluate(v, b) for v in vs] for b in {a[i] for a in self.allocations}}
-            for i, vs in enumerate(players)
-        ]
-        denominators = {x.denominator for rows in raw for row in rows.values() for x in row}
-        denominators.update(p.denominator for p in payments)
-        self.scale = lcm(*denominators)
-        values = [{b: list(map(self.scaled, row)) for b, row in rows.items()} for rows in raw]
-        self.rows = [[values[i][b] for i, b in enumerate(a)] for a in self.allocations]
+        self.setting = setting
+        scale = self.scale = lcm(*(v.denominator for vs in players for v in vs),
+                                 *(p.denominator for p in payments))
+        self.values = [_AutoDict(lambda b, vs=vs: [_scaled(evaluate(v, b), scale) for v in vs])
+                       for vs in players]
+
+    @functools.cached_property
+    def allocations(self) -> tuple:
+        return tuple(enumerate_allocations(self.setting))
+
+    @functools.cached_property
+    def index(self) -> dict:
+        return {a: ai for ai, a in enumerate(self.allocations)}
+
+    @functools.cached_property
+    def rows(self) -> list:
+        return [[self.values[i][b] for i, b in enumerate(a)] for a in self.allocations]
 
     def scaled(self, x) -> int:
-        return x.numerator * (self.scale // x.denominator)
+        return _scaled(x, self.scale)
 
     def exact(self, y: int) -> Fraction:
         return Fraction(y, self.scale)
@@ -165,10 +193,10 @@ class ExactValues:
 class _Table(ExactValues):
     """Every utility and value the checkers compare, as exact integers.
 
-    The ``ExactValues`` of the tree's leaf payments; a leaf's allocation is
-    valid, so as a tuple it has an ``index``.  ``utils[i][vi]`` lists player i's scaled
-    utility under her vi-th valuation at each leaf, in ``tree.leaf_ids``
-    order.  ``answers`` keeps ``_osp_violation`` answers (``_plan_answer``).
+    The ``ExactValues`` of the tree's leaf payments.  ``utils[i][vi]`` lists
+    player i's scaled utility under her vi-th valuation at each leaf, in
+    ``tree.leaf_ids`` order.  ``answers`` keeps ``_osp_violation`` answers
+    (``_plan_answer``).
     """
 
     def __init__(self, tree: MechanismTree, players):
@@ -176,10 +204,9 @@ class _Table(ExactValues):
         super().__init__(tree.setting, players, (p for leaf in leaves for p in leaf.payments))
         self.utils = [[[] for _ in vs] for vs in players]
         for leaf in leaves:
-            rows = self.rows[self.index[tuple(leaf.allocation)]]
-            for us, row, p in zip(self.utils, rows, leaf.payments):
+            for us, values, b, p in zip(self.utils, self.values, leaf.allocation, leaf.payments):
                 pay = self.scaled(p)
-                for u, x in zip(us, row):
+                for u, x in zip(us, values[b]):
                     u.append(x - pay)
         self.answers: dict = {}
 

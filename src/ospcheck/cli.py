@@ -1,17 +1,17 @@
 """Command-line surface: verify, ratio, analyze, fixtures, search.
 
+Files are read by ``serialize.load_json``, and each search config entry,
+or the flag that overrides it, by the ``model`` reader of a file field.
 Exit codes: 0 when everything passed (or the search found no
 counterexample), 1 when a property failed or a counterexample was found or
 the search budget ran out, 2 for usage or input errors, including a tree or
-document nested past the interpreter's recursion limit.
+document nested too deeply and an integer too long to convert.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .checkers import check_dsic, check_ir, check_nnt, check_osp, welfare_ratio
@@ -21,11 +21,14 @@ from .mechanisms import (
     second_price_single_item,
     serial_posted_price,
 )
-from .model import COMBINATORIAL, MULTI_UNIT, AuctionSetting, MechanismError, read_rational
+from .model import (COMBINATORIAL, MULTI_UNIT, AuctionSetting, MechanismError, read_rational,
+                    read_rationals, read_seconds, read_value)
 from .report import ReportDocument, audit_item, ratio_item, search_item, verdict_item
 from .search import SearchSpace, default_payment_grid, falsify_impossibility
 from .serialize import (
     ParseError,
+    domain_from_json,
+    load_json,
     parse_domain,
     parse_mechanism,
     serialize_domain,
@@ -35,29 +38,32 @@ from .structure import audit_ascending_structure
 from .valuations import ValuationError, adversarial_domain, restricted_additive_domain
 
 CHECKS = {"osp": check_osp, "dsic": check_dsic, "ir": check_ir, "nnt": check_nnt}
-SEARCH_CONFIG_KEYS = ("domain", "target_ratio", "grid", "budget_seconds")
+#: Per search config entry: what it is and its reader (a domain is a path or a domain document).
+SEARCH_ENTRIES = {
+    "domain": ("domain", None),
+    "target_ratio": ("target ratio", read_rational),
+    "grid": ("payment grid", read_rationals),
+    "budget_seconds": ("time budget", read_seconds),
+}
 
 
 class UsageError(Exception):
     pass
 
 
-def _read(path: str) -> bytes:
+def _read(report: ReportDocument, path: str) -> bytes:
+    """The bytes of the file at ``path``, recorded as an input of ``report``."""
     try:
-        return Path(path).read_bytes()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
+    report.add_input(path, data)
+    return data
 
 
 def _load_bundle(report: ReportDocument, mechanism_path: str, domain_path=None) -> MechanismBundle:
-    data = _read(mechanism_path)
-    report.add_input(mechanism_path, data)
-    parsed = parse_mechanism(data)
-    domain = None
-    if domain_path is not None:
-        ddata = _read(domain_path)
-        report.add_input(domain_path, ddata)
-        domain = parse_domain(ddata)
+    parsed = parse_mechanism(_read(report, mechanism_path))
+    domain = None if domain_path is None else parse_domain(_read(report, domain_path))
     if isinstance(parsed, MechanismBundle):
         if domain is None:
             return parsed
@@ -96,82 +102,46 @@ def _cmd_ratio(args) -> int:
 
 def _cmd_analyze(args) -> int:
     report = ReportDocument(command="analyze")
-    data = _read(args.mechanism)
-    report.add_input(args.mechanism, data)
-    parsed = parse_mechanism(data)
+    parsed = parse_mechanism(_read(report, args.mechanism))
     tree = parsed.tree if isinstance(parsed, MechanismBundle) else parsed
     report.add(audit_item(audit_ascending_structure(tree)))
     _emit(report, args.format)
     return 0 if report.ok else 1
 
 
-def _parse_fraction(raw, what: str) -> Fraction:
-    try:
-        return read_rational(raw)
-    except MechanismError:
-        raise UsageError(f"bad {what}: {raw!r} (expected an integer or P/Q)")
-
-
-def _config_entry(config: dict, key: str, types: tuple, what: str):
-    """A search config entry, None when absent or null; wrongly typed entries are usage errors."""
-    value = config.get(key)
-    if value is not None and type(value) not in types:
-        raise UsageError(f"config entry {key!r} must be {what}, got {value!r}")
-    return value
-
-
 def _cmd_search(args) -> int:
+    """Each entry is its flag, else its config entry (null is absent)."""
     report = ReportDocument(command="search")
     config = {}
     if args.config:
-        cdata = _read(args.config)
-        report.add_input(args.config, cdata)
-        try:
-            config = json.loads(cdata)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"config is not UTF-8 text: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}")
+        config = load_json(_read(report, args.config), "config")
         if not isinstance(config, dict):
             raise ParseError("search config must be a JSON object")
         for key in config:
-            if key not in SEARCH_CONFIG_KEYS:
+            if key not in SEARCH_ENTRIES:
                 raise UsageError(
-                    f"unknown search config entry {key!r} "
-                    f"(choose from {', '.join(SEARCH_CONFIG_KEYS)})"
+                    f"unknown search config entry {key!r} (choose from {', '.join(SEARCH_ENTRIES)})"
                 )
+    flags = {"domain": args.domain, "target_ratio": args.target_ratio, "budget_seconds": args.budget,
+             "grid": None if args.grid is None else args.grid.split(",")}
+    entries = {key: config.get(key) if flag is None else flag for key, flag in flags.items()}
 
-    domain_src = args.domain or config.get("domain")
-    if domain_src is None:
+    def read(key: str):
+        what, reader = SEARCH_ENTRIES[key]
+        return None if entries[key] is None else read_value(entries[key], key, reader, what)
+
+    domain = entries["domain"]
+    if domain is None:
         raise UsageError("search needs --domain FILE or a domain entry in the config")
-    if isinstance(domain_src, str):
-        ddata = _read(domain_src)
-        report.add_input(domain_src, ddata)
-        domain = parse_domain(ddata)
-    else:
-        domain = parse_domain(json.dumps(domain_src))
-
-    if args.grid is not None:
-        levels = args.grid.split(",")
-    else:
-        levels = _config_entry(config, "grid", (list,), "a list of payment levels")
-    if levels is None:
-        grid = default_payment_grid(domain.setting)
-    else:
-        grid = tuple(_parse_fraction(g, "grid entry") for g in levels)
-
-    target = args.target_ratio or config.get("target_ratio")
+    domain = parse_domain(_read(report, domain)) if isinstance(domain, str) else domain_from_json(domain)
+    grid = read("grid")
+    target = read("target_ratio")
     if target is None:
         raise UsageError("search needs --target-ratio P/Q or a target_ratio config entry")
-    target = _parse_fraction(target, "target ratio")
-
-    budget = args.budget
-    if budget is None:
-        budget = _config_entry(config, "budget_seconds", (int, float), "a number")
-
     try:
-        space = SearchSpace(domain=domain, payment_grid=grid)
-        verdict = falsify_impossibility(space, target, budget_seconds=budget)
+        space = SearchSpace(domain=domain, payment_grid=default_payment_grid(domain.setting)
+                            if grid is None else grid)
+        verdict = falsify_impossibility(space, target, budget_seconds=read("budget_seconds"))
     except ValueError as exc:
         raise UsageError(str(exc))
     report.add(search_item(verdict))

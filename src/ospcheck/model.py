@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -150,7 +151,7 @@ class MechanismTree:
             raise MechanismError("root id missing from node arena")
         n = self.setting.n
         preorder, leaves, internal = [], [], []
-        owned: list = [[] for _ in range(n)]
+        owned: dict = {}  # speaker -> her nodes; only speakers that occur, whatever n is
         parent, label, depth, span = {}, {}, {}, {}
         stack = [(self.root, 0)]
         while stack:
@@ -171,7 +172,7 @@ class MechanismTree:
                 if not node.edges:
                     raise MechanismError(f"internal node {nid!r} has no outgoing edge")
                 internal.append(nid)
-                owned[node.speaker].append(nid)
+                owned.setdefault(node.speaker, []).append(nid)
                 span[nid] = len(leaves)
                 stack.append((nid, None))
                 for lbl, child in reversed(list(node.edges.items())):
@@ -192,12 +193,12 @@ class MechanismTree:
         self.leaf_ids = tuple(leaves)
         self.internal_ids = tuple(internal)
         self.depth = max(depth.values())
-        self._owned = tuple(tuple(ns) for ns in owned)
+        self._owned = {i: tuple(ns) for i, ns in owned.items()}
         self._parent, self._label, self._depth, self._span = parent, label, depth, span
 
     def nodes_of(self, player: int) -> tuple:
-        """All node ids where ``player`` speaks, in preorder."""
-        return self._owned[player]
+        """All node ids where ``player`` speaks, in preorder; () if she never does."""
+        return self._owned.get(player, ())
 
     def path_to(self, nid: str) -> list:
         """Node ids from the root down to ``nid`` inclusive."""
@@ -278,6 +279,13 @@ def read_rational(raw) -> Fraction:
     elif is_int(raw):
         return Fraction(raw)
     raise MechanismError(f"bad rational {raw!r}")
+
+
+def read_seconds(raw):
+    """A time budget: ``raw`` if a real number >= 0, not a bool; NaN is never reached."""
+    if isinstance(raw, numbers.Real) and not isinstance(raw, bool) and raw >= 0:
+        return raw
+    raise MechanismError(f"time budget must be a nonnegative number, got {raw!r}")
 
 
 def read_list(read):

@@ -103,16 +103,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .checkers import ExactValues, _mu_fixture_bounds
+from .checkers import ExactValues, _AutoDict, _mu_fixture_bounds
 from .mechanisms import MechanismBundle, _Choices
-from .model import InternalNode, Leaf, MechanismTree, bundle_contains, read_rational
+from .model import InternalNode, Leaf, MechanismTree, bundle_contains, read_rational, read_seconds
 from .valuations import Domain
 
 GRID_CAVEAT = (
@@ -266,6 +265,7 @@ class _Scan:
         self.deadline = deadline
         self.beating_only = beating_only
 
+        self._check_deadline()  # a spent budget builds no table
         values = self.values = ExactValues(self.setting, self.players, space.payment_grid)
         self.allocations, self.scale, self.rows = values.allocations, values.scale, values.rows
         self.grid = list(map(values.scaled, space.payment_grid))
@@ -277,7 +277,7 @@ class _Scan:
             stride *= self.sizes[i]
         self._build_predicates(target)
 
-        self.partitions = _Table(_partitions)
+        self.partitions = _AutoDict(_partitions)
         self.memo: dict = {}
         self.work = 0
         self.row_ids = _Ids()
@@ -290,19 +290,25 @@ class _Scan:
         """Per allocation, the bitset of the profiles where its ratio misses the
         target; for an audited scan of the multi-unit fixture, also those where
         it misses min(m, n), and the payment bounds of ``_mu_fixture_bounds``
-        as (flag, profile bit, bundle, scaled cap) entries."""
-        ratio = self.values.ratio
-        ratios = [[ratio(sw, opt) for sw in sums] for sums, opt in self.values.welfare()]
-
-        def misses(bound) -> list:
-            return [sum(1 << p for p, rs in enumerate(ratios) if (r := rs[a]) is None or r >= bound)
-                    for a in range(len(self.rows))]
-
-        self.misses_target = misses(target)
+        as (flag, profile bit, bundle, scaled cap) entries.  The deadline is
+        read once before the first profile and once per profile."""
+        self._check_deadline()
         bounds = None if self.beating_only else _mu_fixture_bounds(self.setting, self.players)
         self.audit_applicable = bounds is not None
+        limits = (target,) if bounds is None else (target, min(self.setting.m, self.setting.n))
+        misses = [[0] * len(self.rows) for _ in limits]
+        ratio = self.values.ratio
+        for p, (sums, opt) in enumerate(self.values.welfare()):
+            self._check_deadline()
+            bit = 1 << p
+            for a, sw in enumerate(sums):
+                r = ratio(sw, opt)
+                for bits, bound in zip(misses, limits):
+                    if r is None or r >= bound:
+                        bits[a] |= bit
+        self.misses_target = misses[0]
         if bounds is not None:
-            self.misses_minmn = misses(min(self.setting.m, self.setting.n))
+            self.misses_minmn = misses[1]
             # an integer payment exceeds the cap exactly when it exceeds its floor
             self.bounds = [
                 (flag, 1 << sum(self.players[i].index(v) * self.strides[i]
@@ -552,29 +558,15 @@ class _Ids(dict):
         return got
 
 
-class _Table(dict):
-    """A dict that fills itself: a missing key maps to ``make(key)``."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        got = self[key] = self.make(key)
-        return got
-
-
-def _fold_table(fold) -> _Table:
+def _fold_table(fold) -> _AutoDict:
     """``table[a][b]`` is ``fold(a, b)``, computed on first use.
 
     The folds below close over id tables, not over the scan, so that no
     table refers back to the scan and its memo is freed with it."""
-    return _Table(lambda a: _Table(functools.partial(fold, a)))
+    return _AutoDict(lambda a: _AutoDict(functools.partial(fold, a)))
 
 
-def _row_folds(row_ids: _Ids) -> _Table:
+def _row_folds(row_ids: _Ids) -> _AutoDict:
     """Fold table of row ids: the elementwise (min rmin, max emax)."""
     of = row_ids.of
 
@@ -586,7 +578,7 @@ def _row_folds(row_ids: _Ids) -> _Table:
     return _fold_table(fold)
 
 
-def _rest_folds(rest_ids: _Ids, row_folds: _Table) -> _Table:
+def _rest_folds(rest_ids: _Ids, row_folds: _AutoDict) -> _AutoDict:
     """Fold table of rest ids: rows by ``row_folds``, violation words by OR."""
     of = rest_ids.of
 
@@ -656,22 +648,19 @@ def falsify_impossibility(
     target = read_rational(target_ratio)
     if target <= 1:
         raise ValueError("target ratio must exceed 1")
-    if budget_seconds is not None and (isinstance(budget_seconds, bool) or not (
-            isinstance(budget_seconds, numbers.Real) and budget_seconds >= 0)):
-        raise ValueError(f"time budget must be a nonnegative number, got {budget_seconds!r}")
     start = time.monotonic()
-    deadline = None if budget_seconds is None else start + budget_seconds
-    scan = _Scan(space, target, deadline, beating_only=not audit_survivors)
+    deadline = None if budget_seconds is None else start + read_seconds(budget_seconds)
+    bounds = _mu_fixture_bounds(space.domain.setting, space.domain.players) if audit_survivors else None
     audit = {
-        "applicable": scan.audit_applicable,
+        "applicable": bounds is not None,
         "survivors_checked": 0,
         "low_profile_bound_failures": 0,
         "square_bound_premise_met": 0,
         "square_bound_failures": 0,
     }
-    survivors = 0
-    counterexample = None
-    try:
+    survivors, counterexample, scan = 0, None, None
+    try:  # the scan's tables are built inside the budget too
+        scan = _Scan(space, target, deadline, beating_only=not audit_survivors)
         root = scan.classes(scan.full)[0]
     except _BudgetExceeded:
         outcome = "budget-exhausted"
@@ -694,5 +683,6 @@ def falsify_impossibility(
         elapsed=time.monotonic() - start,
         class_description=space.describe(),
         audit=audit,
-        progress={"positions_done": len(scan.memo), "join_steps": scan.work},
+        progress={"positions_done": len(scan.memo) if scan else 0,
+                  "join_steps": scan.work if scan else 0},
     )

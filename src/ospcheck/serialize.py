@@ -11,15 +11,17 @@ since with an indent ``json.dumps`` falls back to its pure-Python
 encoder.  Reports (``report.to_json``) stay on ``json.dumps``: they carry
 floats and are written once per command.
 
-Loading builds plain dicts and checks each object's key count against its
-source pairs; only an object whose source repeats a key records which
-keys repeat, and ``build_tree`` rejects an edge map holding such a record,
-so a duplicate message label is still an error.
+``load_json``, the one JSON reader, also reads search configs.  Loading
+builds plain dicts and checks each object's key count against its source
+pairs; only an object whose source repeats a key records which keys repeat,
+and ``build_tree`` rejects an edge map holding such a record, so a
+duplicate message label is still an error.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -203,19 +205,22 @@ def _object(pairs) -> dict:
     return obj if len(obj) == len(pairs) else _TrackedDict(pairs)
 
 
-def _load_json(data):
-    """The JSON document in UTF-8 bytes or a str; bad bytes, bad syntax and
-    nesting past the recursion limit (about 500 tree levels) raise ParseError."""
+def load_json(data, what: str):
+    """The JSON document in UTF-8 bytes or a str, a ``what`` file.  Bad bytes, bad
+    syntax, nesting past the recursion limit (about 500 tree levels) and an
+    integer too long to convert (``sys.get_int_max_str_digits``) raise ParseError."""
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
         return json.loads(data, object_pairs_hook=_object)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc}") from None
+        raise ParseError(f"{what} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ParseError(f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+        raise ParseError(f"{what} syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except RecursionError:
-        raise ParseError("JSON nested too deeply to read") from None
+        raise ParseError(f"{what} is JSON nested too deeply to read") from None
+    except ValueError:  # an integer past the conversion limit
+        raise ParseError(f"{what} holds an integer of over {sys.get_int_max_str_digits()} digits") from None
 
 
 def parse_mechanism(data):
@@ -224,7 +229,7 @@ def parse_mechanism(data):
     Files without a strategies section yield the tree alone.  A player may
     list one valuation twice only with the same behavior both times.
     """
-    doc = _load_json(data)
+    doc = load_json(data, "mechanism")
     if not isinstance(doc, dict) or doc.get("format") != MECHANISM_FORMAT:
         raise ParseError(f"not a mechanism file (format must be {MECHANISM_FORMAT!r})")
     setting = setting_from_json(doc.get("setting", {}))
@@ -271,7 +276,11 @@ def serialize_domain(domain: Domain) -> str:
 
 
 def parse_domain(data) -> Domain:
-    doc = _load_json(data)
+    return domain_from_json(load_json(data, "domain"))
+
+
+def domain_from_json(doc) -> Domain:
+    """The domain a loaded domain document describes."""
     if not isinstance(doc, dict) or doc.get("format") != DOMAIN_FORMAT:
         raise ParseError(f"not a domain file (format must be {DOMAIN_FORMAT!r})")
     setting = setting_from_json(doc.get("setting", {}))

@@ -47,22 +47,21 @@ def is_decisive(tree: MechanismTree, nid: str, player: int, bundle, price) -> bo
     """
     if nid not in tree.nodes:
         raise MechanismError(f"unknown node {nid!r}")
-    price = read_rational(price)
-    setting = tree.setting
+    return _forces(tree, nid, player, bundle, read_rational(price))
 
-    def walk(cur: str) -> bool:
-        node = tree.nodes[cur]
-        if isinstance(node, Leaf):
-            return (
-                bundle_contains(setting, node.allocation[player], bundle)
-                and node.payments[player] <= price
-            )
-        children = node.edges.values()
-        if node.speaker == player:
-            return any(walk(c) for c in children)
-        return all(walk(c) for c in children)
 
-    return walk(nid)
+def _forces(tree: MechanismTree, nid: str, player: int, bundle, price: Fraction) -> bool:
+    # not a closure over itself, which would hold the tree in a reference cycle
+    node = tree.nodes[nid]
+    if isinstance(node, Leaf):
+        return (
+            bundle_contains(tree.setting, node.allocation[player], bundle)
+            and node.payments[player] <= price
+        )
+    children = node.edges.values()
+    if node.speaker == player:
+        return any(_forces(tree, c, player, bundle, price) for c in children)
+    return all(_forces(tree, c, player, bundle, price) for c in children)
 
 
 @dataclass(frozen=True)

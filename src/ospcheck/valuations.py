@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .model import (
     COMBINATORIAL,
@@ -44,11 +45,15 @@ _FIELD_READERS = {
 def _read_fields(v) -> None:
     """Read every field of ``v`` and store the hash of the field tuple, the
     dataclass's own hash: valuations are hashed often, and each fresh hash
-    would hash every ``Fraction`` field again."""
+    would hash every ``Fraction`` field again.  Store ``denominator`` too, the
+    lcm of its rationals' denominators: each of them is some bundle's value,
+    and every value of a bundle is 0, one of them or a sum of them."""
     where = f"{v.tag} valuation"
     for name in v.__dataclass_fields__:
         object.__setattr__(v, name, read_value(getattr(v, name), name, _FIELD_READERS[name], where))
     object.__setattr__(v, "_hash", hash(tuple(getattr(v, name) for name in v.__dataclass_fields__)))
+    rationals = v.values if "values" in v.__dataclass_fields__ else (v.value,)
+    object.__setattr__(v, "denominator", lcm(*(x.denominator for x in rationals)))
 
 
 def _cached_hash(v) -> int:

@@ -771,3 +771,23 @@ def test_checkers_evaluate_once_per_player_valuation_bundle(monkeypatch):
     assert len(gb.tree.leaf_ids) * len(dom.players[0]) > sum(holders.values()) * (MU22.m + 1)
     assert 0 < sum(calls.values()) <= sum(holders.values()) * (MU22.m + 1)
     assert all(count <= holders[v] for (v, _), count in calls.items())
+
+
+def test_tree_checkers_never_enumerate_allocations(monkeypatch):
+    """IR, OSP, DSIC, NNT and the bad-leaf scan read only the leaves' bundles,
+    so their cost follows the tree: the m = 40 clock, over 3^40 allocations,
+    passes all four checks with an empty bad-leaf scan."""
+    def refuse(setting):
+        raise AssertionError("a tree checker enumerated the allocations")
+
+    monkeypatch.setattr(checkers, "enumerate_allocations", refuse)
+    for m in (2, 40):
+        bundle = grand_bundle_ascending(AuctionSetting(kind="combinatorial", n=2, m=m), 3)
+        args = bundle.checker_args()
+        assert all(check(*args) for check in (check_ir, check_osp, check_dsic, check_nnt))
+        assert scan_bad_leaf_good_leaf(*args) == []
+    # failing verdicts build their witnesses from the same table
+    for bundle in (first_price_bundle(3), charging_loser_bundle()):
+        args = bundle.checker_args()
+        assert not all(check(*args) for check in (check_ir, check_osp, check_dsic, check_nnt))
+        scan_bad_leaf_good_leaf(*args)

@@ -408,6 +408,51 @@ def test_search_config_errors_and_inline_domain(tmp_path, capsys):
     assert re.search(r"\n       \d+ survivors, [\d.]+s\n", out) and "examined" not in out
 
 
+def test_oversized_integers_exit_2(tmp_path, capsys):
+    # Python refuses to convert an integer of more than 4,300 digits
+    from ospcheck import AuctionSetting, adversarial_domain
+    from ospcheck.serialize import serialize_domain
+
+    big = "7" * 5000
+    mu = AuctionSetting(kind="multi-unit", n=2, m=2)
+    domain = serialize_domain(adversarial_domain(mu, "mu-single-minded"))
+    mech, dom, config = tmp_path / "mech.json", tmp_path / "dom.json", tmp_path / "config.json"
+    mech.write_text(Path(FIG1).read_text().replace('"n": 2', '"n": ' + big))
+    dom.write_text(domain.replace('"quantity": 1', '"quantity": ' + big, 1))
+    config.write_text('{"budget_seconds": %s}' % big)
+    for argv, what in ((("verify", "--mechanism", str(mech)), "mechanism"),
+                       (("search", "--target-ratio", "2", "--domain", str(dom)), "domain"),
+                       (("search", "--config", str(config)), "config")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out and f"{what} holds an integer of over" in err, err
+
+
+def test_search_flags_override_config_entries(tmp_path, capsys):
+    from ospcheck import AuctionSetting, adversarial_domain
+    from ospcheck.serialize import serialize_domain
+
+    mu = AuctionSetting(kind="multi-unit", n=2, m=2)
+    domain_path = tmp_path / "dom.json"
+    domain_path.write_text(serialize_domain(adversarial_domain(mu, "mu-single-minded")))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"domain": str(domain_path), "target_ratio": "3",
+                                  "grid": ["x"], "budget_seconds": "soon"}))
+    search = ["search", "--config", str(config)]
+    # the entries are read as a file's fields are, each naming its key
+    code, out, err = run_cli(capsys, *search)
+    assert code == 2 and not out and "unreadable 'grid' field" in err, err
+    code, out, err = run_cli(capsys, *search, "--grid", "0,1")
+    assert code == 2 and not out and "unreadable 'budget_seconds' field" in err, err
+    code, out, _ = run_cli(capsys, *search, "--grid", "0,1", "--budget", "60")
+    assert code == 0 and "no-counterexample" in out
+    code, out, _ = run_cli(capsys, *search, "--grid", "0,1", "--budget", "0")
+    assert code == 1 and "budget ran out after 0 positions" in out
+    # an empty grid is no grid to search over
+    config.write_text(json.dumps({"domain": str(domain_path), "target_ratio": "3", "grid": []}))
+    code, out, err = run_cli(capsys, *search)
+    assert code == 2 and not out and "payment grid must be nonempty" in err, err
+
+
 def test_search_rejects_negative_grid_levels(tmp_path, capsys):
     # no leaf may charge a negative payment, so such a level used to be
     # dropped silently, and a grid of negative levels alone passed vacuously
@@ -485,3 +530,23 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "verify" in out and "search" in out
+
+
+def test_player_count_costs_no_memory_before_a_leaf(tmp_path, capsys):
+    # a tree is validated without one list per player, so a huge player
+    # count is refused at the first leaf at little cost
+    import tracemalloc
+
+    mech = tmp_path / "wide.json"
+    mech.write_text(json.dumps({
+        "format": "ospcheck-mechanism", "version": 1,
+        "setting": {"kind": "multi-unit", "n": 2_000_000, "m": 1},
+        "root": {"speaker": 0, "edges": {"a": {"allocation": [0], "payments": ["0"]}}}}))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "analyze", "--mechanism", str(mech))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and not out and "one bundle per player" in err, err
+    assert peak < 20 * 2**20, peak

@@ -449,3 +449,34 @@ def test_scan_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_zero_budget_builds_no_table(monkeypatch):
+    """The scan builds its tables inside the budget: under a zero budget it
+    reads at most one profile's welfare, and reports the audit and progress of
+    a scan that never started."""
+    from ospcheck.checkers import ExactValues
+
+    read = []
+    welfare = ExactValues.welfare
+
+    def counted(self):
+        for got in welfare(self):
+            read.append(got)
+            yield got
+
+    monkeypatch.setattr(ExactValues, "welfare", counted)
+    space = SearchSpace(domain=adversarial_domain(MU22, "mu-single-minded"),
+                        payment_grid=default_payment_grid(MU22))
+    verdict = falsify_impossibility(space, Fraction(2), budget_seconds=0)
+    assert verdict.outcome == "budget-exhausted" and len(read) <= 1
+    assert verdict.audit == {"applicable": True, "survivors_checked": 0,
+                             "low_profile_bound_failures": 0, "square_bound_premise_met": 0,
+                             "square_bound_failures": 0}
+    assert verdict.progress == {"positions_done": 0, "join_steps": 0}
+    refute = falsify_impossibility(space, Fraction(2), budget_seconds=0, audit_survivors=False)
+    assert not refute.audit["applicable"]
+    # with time to spare every profile is read
+    read.clear()
+    assert falsify_impossibility(_sub_space(), Fraction(2)).outcome == "counterexample"
+    assert len(read) == 3

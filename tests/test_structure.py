@@ -191,3 +191,21 @@ def test_audit_ascending_structure():
     ca = AuctionSetting(kind="combinatorial", n=1, m=1)
     single = build_tree({"allocation": [[]], "payments": ["0"]}, ca)
     assert audit_ascending_structure(single).all_continue_or_quit
+
+
+def test_is_decisive_leaves_no_reference_cycle():
+    """With the cyclic collector off, a decisiveness query leaves nothing for
+    it to collect, so the tree and the checker table kept on it are freed with
+    their last reference."""
+    import gc
+
+    bundle = grand_bundle_ascending(MU22, 4, domain=adversarial_domain(MU22, "mu-single-minded"))
+    tree = bundle.tree
+    gc.collect()
+    gc.disable()
+    try:
+        assert is_decisive(tree, tree.root, 0, 2, 4)
+        assert not is_decisive(tree, tree.root, 0, 2, 0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
