@@ -145,8 +145,9 @@ class ExactValues:
     bundle's value, as an integer and ``exact(y)`` gives it back.
     ``values[i][b]`` is player i's row of values, one per valuation, for
     bundle b.  Like it, the valid ``allocations`` (``enumerate_allocations``
-    order), their ``index`` and ``rows[a][i]``, player i's row for her bundle
-    in allocation a, are built on first use.  ``welfare()`` generates the
+    order) and ``rows[a][i]``, player i's row for her bundle in allocation a,
+    are built on first use, calling ``poll``, if set, every 4,096 allocations:
+    the search sets its deadline reader there.  ``welfare()`` generates the
     summed values per profile, and ``ratio`` holds the OPT / SW convention.
     """
 
@@ -157,17 +158,22 @@ class ExactValues:
         self.values = [_AutoDict(lambda b, vs=vs: [_scaled(evaluate(v, b), scale) for v in vs])
                        for vs in players]
 
-    @functools.cached_property
-    def allocations(self) -> tuple:
-        return tuple(enumerate_allocations(self.setting))
+    poll = None
 
     @functools.cached_property
-    def index(self) -> dict:
-        return {a: ai for ai, a in enumerate(self.allocations)}
+    def allocations(self) -> tuple:
+        return tuple(self._polled(enumerate_allocations(self.setting)))
 
     @functools.cached_property
     def rows(self) -> list:
-        return [[self.values[i][b] for i, b in enumerate(a)] for a in self.allocations]
+        return [[self.values[i][b] for i, b in enumerate(a)] for a in self._polled(self.allocations)]
+
+    def _polled(self, items):
+        """``items``, calling ``poll()``, unless None, before every 4,096th."""
+        for k, item in enumerate(items):
+            if self.poll is not None and not k & 4095:
+                self.poll()
+            yield item
 
     def scaled(self, x) -> int:
         return _scaled(x, self.scale)
@@ -495,8 +501,9 @@ def welfare_ratio(tree: MechanismTree, strategies: Sequence, domain) -> RatioRep
     table = _table(tree, domain)
     worst = None  # (ratio, profile, sw, opt)
     realized = _realized(tree, strategies, domain)
-    for (sums, opt), (profile, _, leaf_id, _) in zip(table.welfare(), realized):
-        sw = sums[table.index[tuple(tree.nodes[leaf_id].allocation)]]
+    indices = itertools.product(*(range(len(vs)) for vs in _players(domain)))
+    for (_, opt), vis, (profile, _, leaf_id, _) in zip(table.welfare(), indices, realized):
+        sw = sum(vs[b][vi] for vs, b, vi in zip(table.values, tree.nodes[leaf_id].allocation, vis))
         ratio = table.ratio(sw, opt)
         if ratio is None:
             worst = (None, profile, sw, opt)

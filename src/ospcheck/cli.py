@@ -2,10 +2,12 @@
 
 Files are read by ``serialize.load_json``, and each search config entry,
 or the flag that overrides it, by the ``model`` reader of a file field.
+Each command fills the report ``main`` makes for it, and ``main`` renders it.
 Exit codes: 0 when everything passed (or the search found no
-counterexample), 1 when a property failed or a counterexample was found or
-the search budget ran out, 2 for usage or input errors, including a tree or
-document nested too deeply and an integer too long to convert.
+counterexample; ``fixtures`` always), 1 when a property failed or a
+counterexample was found or the search budget ran out, 2 for usage or input
+errors, including a tree or document nested too deeply and an integer too
+long to convert.
 """
 
 from __future__ import annotations
@@ -73,12 +75,7 @@ def _load_bundle(report: ReportDocument, mechanism_path: str, domain_path=None) 
     )
 
 
-def _emit(report: ReportDocument, fmt: str) -> None:
-    sys.stdout.write(report.to_json() if fmt == "machine" else report.to_text())
-
-
-def _cmd_verify(args) -> int:
-    report = ReportDocument(command="verify")
+def _cmd_verify(args, report: ReportDocument) -> ReportDocument:
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
     if not names:
         raise UsageError(f"no check named (choose from {', '.join(CHECKS)})")
@@ -88,30 +85,24 @@ def _cmd_verify(args) -> int:
     bundle = _load_bundle(report, args.mechanism, args.domain)
     for name in names:
         report.add(verdict_item(CHECKS[name](*bundle.checker_args())))
-    _emit(report, args.format)
-    return 0 if report.ok else 1
+    return report
 
 
-def _cmd_ratio(args) -> int:
-    report = ReportDocument(command="ratio")
+def _cmd_ratio(args, report: ReportDocument) -> ReportDocument:
     bundle = _load_bundle(report, args.mechanism, args.domain)
     report.add(ratio_item(welfare_ratio(*bundle.checker_args())))
-    _emit(report, args.format)
-    return 0 if report.ok else 1
+    return report
 
 
-def _cmd_analyze(args) -> int:
-    report = ReportDocument(command="analyze")
+def _cmd_analyze(args, report: ReportDocument) -> ReportDocument:
     parsed = parse_mechanism(_read(report, args.mechanism))
     tree = parsed.tree if isinstance(parsed, MechanismBundle) else parsed
     report.add(audit_item(audit_ascending_structure(tree)))
-    _emit(report, args.format)
-    return 0 if report.ok else 1
+    return report
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args, report: ReportDocument) -> ReportDocument:
     """Each entry is its flag, else its config entry (null is absent)."""
-    report = ReportDocument(command="search")
     config = {}
     if args.config:
         config = load_json(_read(report, args.config), "config")
@@ -145,12 +136,10 @@ def _cmd_search(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     report.add(search_item(verdict))
-    _emit(report, args.format)
-    return 0 if report.ok else 1
+    return report
 
 
-def _cmd_fixtures(args) -> int:
-    report = ReportDocument(command="fixtures")
+def _cmd_fixtures(args, report: ReportDocument) -> ReportDocument:
     out = Path(args.out)
     m, n = args.m, args.n
     ca = AuctionSetting(kind=COMBINATORIAL, n=n, m=m)
@@ -186,8 +175,7 @@ def _cmd_fixtures(args) -> int:
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc}")
     report.add({"kind": "fixtures", "written": written})
-    _emit(report, args.format)
-    return 0
+    return report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -247,13 +235,15 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        report = args.func(args, ReportDocument(command=args.command))
+        sys.stdout.write(report.to_json() if args.format == "machine" else report.to_text())
     except (UsageError, ParseError, MechanismError, ValuationError) as exc:
         print(f"ospcheck: error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
         print("ospcheck: error: nesting exceeds the interpreter's recursion limit", file=sys.stderr)
         return 2
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

@@ -338,52 +338,52 @@ def build_tree(spec, setting: AuctionSetting) -> MechanismTree:
     stable preorder ids ``#0, #1, ...``, so rebuilding a serialized tree
     reproduces the same ids.
     """
+    read_allocation = read_list(read_items) if setting.is_combinatorial else _read_ints
     nodes: dict = {}
+    return MechanismTree(setting=setting, nodes=nodes, root=_add_node(spec, None, nodes, read_allocation))
 
-    read_allocation = read_list(read_items if setting.is_combinatorial else read_int)
 
-    def add_node(raw, trail=None) -> str:
-        # trail: (parent trail, label into this node), None at the root
-        if not isinstance(raw, dict):
-            raise MechanismError(f"node description must be a mapping, got {type(raw).__name__}")
-        given = raw.get("id")
-        if given is None:
-            nid = _AUTO_PREFIX + str(len(nodes))
-        else:
-            nid = read_value(given, "id", read_str, "node description")
-            if nid.startswith(_AUTO_PREFIX):
-                raise MechanismError(f"node ids may not start with {_AUTO_PREFIX!r}: {nid!r}")
-        if nid in nodes:
-            raise MechanismError(f"duplicate node id {nid!r}")
-        nodes[nid] = None  # reserve before children so ids follow preorder
-        where = f"node {nid!r}"
-        if "edges" in raw or "speaker" in raw:
-            edges_raw = raw.get("edges")
-            if not isinstance(edges_raw, dict) or not edges_raw:
-                raise MechanismError(f"internal node {nid!r} needs a nonempty edge map")
-            duplicates = getattr(edges_raw, "duplicates", ())
-            if duplicates:
-                raise MechanismError(
-                    f"duplicate message label {duplicates[0]!r} at node {_label_path(trail)}"
-                )
-            for lbl in edges_raw:
-                if not isinstance(lbl, str):
-                    # a file holds every label as a string, so this one
-                    # is a duplicate if its string is another label
-                    if str(lbl) in edges_raw:
-                        raise MechanismError(f"duplicate message label at node {nid!r}")
-                    raise MechanismError(f"{where}: message label {lbl!r} is not a string")
-            speaker = read_field(raw, "speaker", read_int, where)
-            edges = {lbl: add_node(edges_raw[lbl], (trail, lbl)) for lbl in sorted(edges_raw)}
-            nodes[nid] = InternalNode(speaker=speaker, edges=edges)
-        else:
-            nodes[nid] = Leaf(
-                allocation=read_field(raw, "allocation", read_allocation, where),
-                payments=read_field(raw, "payments", read_rationals, where),
+def _add_node(raw, trail, nodes: dict, read_allocation) -> str:
+    # trail: (parent trail, label into this node), None at the root; no closure, no cycle
+    if not isinstance(raw, dict):
+        raise MechanismError(f"node description must be a mapping, got {type(raw).__name__}")
+    given = raw.get("id")
+    if given is None:
+        nid = _AUTO_PREFIX + str(len(nodes))
+    else:
+        nid = read_value(given, "id", read_str, "node description")
+        if nid.startswith(_AUTO_PREFIX):
+            raise MechanismError(f"node ids may not start with {_AUTO_PREFIX!r}: {nid!r}")
+    if nid in nodes:
+        raise MechanismError(f"duplicate node id {nid!r}")
+    nodes[nid] = None  # reserve before children so ids follow preorder
+    where = f"node {nid!r}"
+    if "edges" in raw or "speaker" in raw:
+        edges_raw = raw.get("edges")
+        if not isinstance(edges_raw, dict) or not edges_raw:
+            raise MechanismError(f"internal node {nid!r} needs a nonempty edge map")
+        duplicates = getattr(edges_raw, "duplicates", ())
+        if duplicates:
+            raise MechanismError(
+                f"duplicate message label {duplicates[0]!r} at node {_label_path(trail)}"
             )
-        return nid
-
-    return MechanismTree(setting=setting, nodes=nodes, root=add_node(spec))
+        for lbl in edges_raw:
+            if not isinstance(lbl, str):
+                # a file holds every label as a string, so this one
+                # is a duplicate if its string is another label
+                if str(lbl) in edges_raw:
+                    raise MechanismError(f"duplicate message label at node {nid!r}")
+                raise MechanismError(f"{where}: message label {lbl!r} is not a string")
+        speaker = read_field(raw, "speaker", read_int, where)
+        edges = {lbl: _add_node(edges_raw[lbl], (trail, lbl), nodes, read_allocation)
+                 for lbl in sorted(edges_raw)}
+        nodes[nid] = InternalNode(speaker=speaker, edges=edges)
+    else:
+        nodes[nid] = Leaf(
+            allocation=read_field(raw, "allocation", read_allocation, where),
+            payments=read_field(raw, "payments", read_rationals, where),
+        )
+    return nid
 
 
 def _label_path(trail) -> str:

@@ -111,7 +111,7 @@ from typing import Iterator, Optional
 
 from .checkers import ExactValues, _AutoDict, _mu_fixture_bounds
 from .mechanisms import MechanismBundle, _Choices
-from .model import InternalNode, Leaf, MechanismTree, bundle_contains, read_rational, read_seconds
+from .model import build_tree, bundle_contains, read_rational, read_seconds
 from .valuations import Domain
 
 GRID_CAVEAT = (
@@ -218,6 +218,11 @@ class _BudgetExceeded(Exception):
     pass
 
 
+def _read_deadline(deadline) -> None:
+    if deadline is not None and time.monotonic() >= deadline:
+        raise _BudgetExceeded
+
+
 class _Scan:
     """The aggregated scan of one search space for one target ratio.
 
@@ -262,11 +267,13 @@ class _Scan:
         self.n = self.setting.n
         self.sizes = [len(vs) for vs in self.players]
         self.full = tuple((1 << c) - 1 for c in self.sizes)
-        self.deadline = deadline
+        # a partial, not a bound method, so the value table holds no cycle back to the scan
+        self._check_deadline = functools.partial(_read_deadline, deadline)
         self.beating_only = beating_only
 
-        self._check_deadline()  # a spent budget builds no table
         values = self.values = ExactValues(self.setting, self.players, space.payment_grid)
+        # read at the first allocation too, so a spent budget builds no table
+        values.poll = self._check_deadline
         self.allocations, self.scale, self.rows = values.allocations, values.scale, values.rows
         self.grid = list(map(values.scaled, space.payment_grid))
         # profile indexing, row-major over player valuation indices
@@ -363,28 +370,23 @@ class _Scan:
         """The member ``descriptor`` names: node ids ``u0, u1, ...`` in preorder; a plan
         sends the index of the block holding its valuation, else ``"0"``."""
         choices = _Choices(self.space.domain)
-        nodes: dict = {}
-        root = self._add_node(descriptor, nodes, choices)
-        tree = MechanismTree(setting=self.setting, nodes=nodes, root=root)
+        tree = build_tree(self._spec(descriptor, itertools.count(), choices), self.setting)
         return MechanismBundle(tree=tree, strategies=choices.tables(), domain=self.space.domain)
 
-    def _add_node(self, desc: tuple, nodes: dict, choices: _Choices) -> str:
+    def _spec(self, desc: tuple, ids, choices: _Choices) -> dict:
         # a method, not a closure over itself and the scan: a scan in no
         # reference cycle is freed as soon as ``falsify_impossibility`` returns
-        nid = f"u{len(nodes)}"
-        nodes[nid] = None  # reserve before children so ids follow preorder
+        nid = f"u{next(ids)}"  # drawn before the children's, so ids follow preorder
         if desc[0] == "leaf":
             _, ai, pays = desc
-            payments = tuple(map(self.values.exact, pays))
-            nodes[nid] = Leaf(allocation=self.allocations[ai], payments=payments)
-            return nid
+            return {"id": nid, "allocation": self.allocations[ai],
+                    "payments": tuple(map(self.values.exact, pays))}
         _, j, blocks, subs = desc
         index = self.players[j].index
         choices.record(nid, j, lambda v: next(
             (str(t) for t, block in enumerate(blocks) if block >> index(v) & 1), "0"))
-        edges = {str(t): self._add_node(sub, nodes, choices) for t, sub in enumerate(subs)}
-        nodes[nid] = InternalNode(speaker=j, edges=dict(sorted(edges.items())))
-        return nid
+        return {"id": nid, "speaker": j,
+                "edges": {str(t): self._spec(sub, ids, choices) for t, sub in enumerate(subs)}}
 
     # -- composition ------------------------------------------------------
 
@@ -393,10 +395,6 @@ class _Scan:
         self.work += steps
         if self.work >> 12 != (self.work - steps) >> 12:
             self._check_deadline()
-
-    def _check_deadline(self) -> None:
-        if self.deadline is not None and time.monotonic() >= self.deadline:
-            raise _BudgetExceeded
 
     def _leaf_summary(self, masks: tuple, ai: int, pays: tuple) -> tuple:
         return tuple(

@@ -646,7 +646,6 @@ def test_exact_values_match_the_fraction_oracles():
         payments = [rng.choice(MIXED_LEVELS) for _ in range(2)]
         values = checkers.ExactValues(setting, players, payments)
         assert all(values.exact(values.scaled(p)) == p for p in payments)
-        assert all(values.index[alloc] == a for a, alloc in enumerate(values.allocations))
         profiles = list(itertools.product(*players))
         welfare = list(values.welfare())
         assert len(welfare) == len(profiles)

@@ -3,8 +3,10 @@
 import functools
 import gc
 import hashlib
+import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,11 +17,16 @@ from ospcheck import (
     SearchSpace,
     SingleMindedMU,
     adversarial_domain,
+    build_tree,
+    check_dsic,
     check_ir,
     check_nnt,
     check_osp,
     default_payment_grid,
     falsify_impossibility,
+    first_divergence,
+    mu_payment_bounds,
+    scan_bad_leaf_good_leaf,
     welfare_ratio,
 )
 from ospcheck.checkers import _mu_fixture_bounds
@@ -31,9 +38,9 @@ from ospcheck.search import (
     _partitions,
     _Scan,
 )
-from ospcheck.serialize import serialize_mechanism
+from ospcheck.serialize import parse_mechanism, serialize_mechanism
 
-from helpers import normalized_stream, oracle_combine, oracle_scan
+from helpers import normalized_stream, oracle_combine, oracle_scan, random_instance
 
 CA11 = AuctionSetting(kind="combinatorial", n=1, m=1)
 CA22 = AuctionSetting(kind="combinatorial", n=2, m=2)
@@ -436,19 +443,61 @@ def test_partitions_pinned():
 
 
 def test_scan_leaves_no_reference_cycle():
-    """With the cyclic collector off, a scan leaves nothing for it to collect."""
+    """With the cyclic collector off, parsing, building a tree, an audited scan
+    that materializes its counterexample and every checker leave nothing for
+    it to collect."""
+    rng = random.Random(21)
+    texts = [serialize_mechanism(random_instance(rng)) for _ in range(200)]
     space = SearchSpace(
         domain=adversarial_domain(MU22, "mu-single-minded"),
         payment_grid=(Fraction(0), Fraction(1), Fraction(5)),
     )
+    checkers = (check_osp, check_dsic, check_ir, check_nnt, welfare_ratio,
+                scan_bad_leaf_good_leaf, first_divergence)
     gc.collect()
     gc.disable()
     try:
-        verdict = falsify_impossibility(space, Fraction(2), audit_survivors=False)
+        bundles = [parse_mechanism(text) for text in texts]
+        assert gc.collect() == 0
+        build_tree({"allocation": [[0]], "payments": ["0"]}, CA11)
+        assert gc.collect() == 0
+        verdict = falsify_impossibility(space, Fraction(2))
         assert verdict.outcome == "counterexample"
+        assert gc.collect() == 0
+        for bundle in bundles + [verdict.counterexample]:
+            for check in checkers:
+                check(*bundle.checker_args())
+        mu_payment_bounds(*verdict.counterexample.checker_args())
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_budget_is_read_while_allocations_are_drawn(monkeypatch):
+    """The scan reads its deadline every 4,096 allocations while it enumerates
+    them and builds their value rows: once the deadline passes, at most 4,096
+    more allocations are drawn, not all (n+1)^m = 177,147 of CA n = 2, m = 11."""
+    from ospcheck import checkers, search
+
+    setting = AuctionSetting(kind="combinatorial", n=2, m=11)
+    vals = tuple(AdditiveValuation(values=tuple(Fraction(j + t) for j in range(11)))
+                 for t in range(3))
+    space = SearchSpace(domain=Domain(setting=setting, players=(vals, vals)),
+                        payment_grid=(Fraction(0), Fraction(1)))
+    drawn, passes_at = [0], 10_000
+    enumerate_allocations = checkers.enumerate_allocations
+
+    def counted(setting):
+        for allocation in enumerate_allocations(setting):
+            drawn[0] += 1
+            yield allocation
+
+    monkeypatch.setattr(checkers, "enumerate_allocations", counted)
+    monkeypatch.setattr(search, "time", SimpleNamespace(
+        monotonic=lambda: 0.0 if drawn[0] < passes_at else 1.0))
+    verdict = falsify_impossibility(space, Fraction(2), budget_seconds=0.5)
+    assert verdict.outcome == "budget-exhausted"
+    assert passes_at <= drawn[0] <= passes_at + 4096
 
 
 def test_zero_budget_builds_no_table(monkeypatch):
