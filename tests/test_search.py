@@ -443,9 +443,9 @@ def test_partitions_pinned():
 
 
 def test_scan_leaves_no_reference_cycle():
-    """With the cyclic collector off, parsing, building a tree, an audited scan
-    that materializes its counterexample and every checker leave nothing for
-    it to collect."""
+    """With the cyclic collector off, parsing, building a tree, a refute scan,
+    an audited scan that materializes its counterexample and every checker
+    leave nothing for it to collect."""
     rng = random.Random(21)
     texts = [serialize_mechanism(random_instance(rng)) for _ in range(200)]
     space = SearchSpace(
@@ -460,6 +460,9 @@ def test_scan_leaves_no_reference_cycle():
         bundles = [parse_mechanism(text) for text in texts]
         assert gc.collect() == 0
         build_tree({"allocation": [[0]], "payments": ["0"]}, CA11)
+        assert gc.collect() == 0
+        verdict = falsify_impossibility(space, Fraction(2), audit_survivors=False)
+        assert verdict.outcome == "counterexample"
         assert gc.collect() == 0
         verdict = falsify_impossibility(space, Fraction(2))
         assert verdict.outcome == "counterexample"
