@@ -5,8 +5,8 @@ dominance, dominant strategies), the exact welfare-approximation ratio over
 a finite domain, and two proof-machinery scans: the bad-leaf/good-leaf
 consistency scan and the first-divergence locator.
 
-Every checker walks the supplied domain in deterministic product order, so
-the first witness found is independent of how callers partition the work.
+Every checker reads the domain in product order (``model.play_profiles``),
+so the first witness found is independent of how callers partition the work.
 
 The IR, OSP and DSIC checkers, the bad-leaf scan and the welfare ratio
 compare integers: every value and payment they read is scaled by one common
@@ -44,6 +44,8 @@ from .model import (
     MechanismTree,
     bundle_contains,
     follow,
+    play_profiles,
+    players_of,
     run,
 )
 from .valuations import Domain, SingleMindedMU, evaluate
@@ -98,24 +100,6 @@ class RatioReport:
     @property
     def unbounded(self) -> bool:
         return self.ratio is None
-
-
-def _players(domain) -> tuple:
-    return getattr(domain, "players", domain)
-
-
-def _realized(tree: MechanismTree, strategies: Sequence, domain):
-    """Yield (profile, behaviors, leaf_id, path) in deterministic order.
-
-    Plans are looked up once per player and valuation, then walked by
-    position in the same product order as the profiles: hashing a valuation
-    per profile would hash every ``Fraction`` in it each time.
-    """
-    players = _players(domain)
-    plans = [[strategies[i][v] for v in vs] for i, vs in enumerate(players)]
-    for profile, behaviors in zip(itertools.product(*players), itertools.product(*plans)):
-        leaf_id, path = run(tree, behaviors)
-        yield profile, behaviors, leaf_id, path
 
 
 class _AutoDict(dict):
@@ -221,7 +205,7 @@ def _table(tree: MechanismTree, domain) -> _Table:
     """The table for ``tree`` and the domain's players, kept on the tree and
     reused for that same players object.  Trees and valuations never change,
     so only a mutable players container could go stale: none is kept."""
-    players = _players(domain)
+    players = players_of(domain)
     memo = tree.checker_memo
     if memo is not None and memo[0] is players:
         return memo[1]
@@ -234,7 +218,7 @@ def _table(tree: MechanismTree, domain) -> _Table:
 def check_ir(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     """Individual rationality: realized utility is never negative."""
     table = _table(tree, domain)
-    realized = _realized(tree, strategies, domain)
+    realized = play_profiles(tree, strategies, domain)
     for us, (profile, behaviors, leaf_id, _) in zip(itertools.product(*table.utils), realized):
         k = tree.leaf_span(leaf_id)[0]
         for i, u in enumerate(us):
@@ -251,7 +235,7 @@ def check_ir(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
 
 def check_nnt(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     """No negative transfers: realized payments are never negative."""
-    for profile, behaviors, leaf_id, _ in _realized(tree, strategies, domain):
+    for profile, behaviors, leaf_id, _ in play_profiles(tree, strategies, domain):
         leaf = tree.nodes[leaf_id]
         for i, p in enumerate(leaf.payments):
             if p < 0:
@@ -379,7 +363,7 @@ def check_osp(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     :func:`check_dsic` to reuse.
     """
     table = _table(tree, domain)
-    for i, vs in enumerate(_players(domain)):
+    for i, vs in enumerate(players_of(domain)):
         for vi, v in enumerate(vs):
             behavior = strategies[i][v]
             found = _plan_answer(tree, table, i, vi, behavior)
@@ -424,7 +408,7 @@ def check_dsic(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     switching to that notion would change verdicts and is not done here.
     """
     table = _table(tree, domain)
-    for i, vs in enumerate(_players(domain)):
+    for i, vs in enumerate(players_of(domain)):
         for vi, v in enumerate(vs):
             behavior = strategies[i][v]
             if _plan_answer(tree, table, i, vi, behavior) is None:
@@ -500,8 +484,8 @@ def welfare_ratio(tree: MechanismTree, strategies: Sequence, domain) -> RatioRep
     """
     table = _table(tree, domain)
     worst = None  # (ratio, profile, sw, opt)
-    realized = _realized(tree, strategies, domain)
-    indices = itertools.product(*(range(len(vs)) for vs in _players(domain)))
+    realized = play_profiles(tree, strategies, domain)
+    indices = itertools.product(*(range(len(vs)) for vs in players_of(domain)))
     for (_, opt), vis, (profile, _, leaf_id, _) in zip(table.welfare(), indices, realized):
         sw = sum(vs[b][vi] for vs, b, vi in zip(table.values, tree.nodes[leaf_id].allocation, vis))
         ratio = table.ratio(sw, opt)
@@ -545,7 +529,7 @@ def scan_bad_leaf_good_leaf(tree: MechanismTree, strategies: Sequence, domain) -
     profiles are paired only when one does.
     """
     table = _table(tree, domain)
-    realized = list(_realized(tree, strategies, domain))
+    realized = list(play_profiles(tree, strategies, domain))
     reach = {leaf for _, _, leaf, _ in realized}
     leaf_ids = tree.leaf_ids
     runs: dict = {}  # realized leaf -> (its position, nonempty off-path slices of its path)
@@ -586,25 +570,20 @@ def first_divergence(tree: MechanismTree, strategies: Sequence, subsets) -> Opti
     """Shallowest vertex where two profiles from the subsets part ways.
 
     Vertices are scanned breadth-first with ties broken by preorder
-    position.  Returns None when every profile reaches the same leaf.
+    position; there the first profile and the first to take another label
+    are reported.  Returns None when every profile reaches the same leaf.
     """
-    routes = []  # (profile, label taken out of each internal node on its path)
-    for profile, _, _, path in _realized(tree, strategies, subsets):
-        routes.append((profile, {w: tree.label_into(x) for w, x in zip(path, path[1:])}))
+    firsts: dict = {}  # vertex -> {label taken there: first profile taking it}
+    for profile, _, _, path in play_profiles(tree, strategies, subsets):
+        for w, x in zip(path, path[1:]):
+            firsts.setdefault(w, {}).setdefault(tree.label_into(x), profile)
     for nid in tree.bfs_internal():
-        node = tree.nodes[nid]
-        taken = [(profile, out[nid]) for profile, out in routes if nid in out]
-        if not taken:
-            continue
-        first_label = taken[0][1]
-        for profile, lbl in taken[1:]:
-            if lbl != first_label:
-                return Divergence(
-                    vertex=nid,
-                    player=node.speaker,
-                    valuations=(taken[0][0][node.speaker], profile[node.speaker]),
-                    labels=(first_label, lbl),
-                )
+        taken = firsts.get(nid, {})
+        if len(taken) > 1:
+            (label, profile), (alt_label, alt_profile) = itertools.islice(taken.items(), 2)
+            i = tree.nodes[nid].speaker
+            return Divergence(vertex=nid, player=i, valuations=(profile[i], alt_profile[i]),
+                              labels=(label, alt_label))
     return None
 
 
@@ -651,7 +630,7 @@ def mu_payment_bounds(tree: MechanismTree, strategies: Sequence, domain: Domain)
     mechanism's ratio beats min(m, n), which the caller establishes.
     """
     setting = tree.setting
-    bounds = _mu_fixture_bounds(setting, _players(domain))
+    bounds = _mu_fixture_bounds(setting, players_of(domain))
     if bounds is None:
         raise ValueError("domain is not the adversarial multi-unit fixture")
     (all_one, one, cap_one), (spike, everything, square) = bounds

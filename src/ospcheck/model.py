@@ -4,7 +4,8 @@ A mechanism is a finite rooted tree.  Every internal node names the single
 player who speaks there and maps each message label to a child; every leaf
 carries an allocation of the items and one payment per player.  Running the
 tree against a behavior profile (one message choice per node per owner)
-walks from the root to a leaf.
+walks from the root to a leaf; ``play_profiles`` does so for every profile
+of a finite domain, the one walk ``realize`` and the checkers read.
 """
 
 from __future__ import annotations
@@ -463,6 +464,22 @@ def validate_strategy(tree: MechanismTree, player: int, strategy: Mapping) -> No
                 raise MechanismError(f"label {lbl!r} does not exist at node {nid!r}")
 
 
+def players_of(domain) -> Sequence:
+    """``domain.players`` of a ``valuations.Domain``; plain player lists as they are."""
+    return getattr(domain, "players", domain)
+
+
+def play_profiles(tree: MechanismTree, strategies: Sequence[Mapping], domain):
+    """Yield ``(profile, behaviors, leaf_id, path)`` per profile of the domain, in
+    product order.  Plans are looked up once per player and valuation and walked
+    by position: hashing a valuation per profile would hash every ``Fraction``."""
+    players = players_of(domain)
+    plans = [[strategies[i][v] for v in vs] for i, vs in enumerate(players)]
+    for profile, behaviors in zip(itertools.product(*players), itertools.product(*plans)):
+        leaf_id, path = run(tree, behaviors)
+        yield profile, behaviors, leaf_id, path
+
+
 def realize(tree: MechanismTree, strategies: Sequence[Mapping], domain) -> dict:
     """Tabulate the realized outcome for every profile of the finite domain.
 
@@ -471,16 +488,12 @@ def realize(tree: MechanismTree, strategies: Sequence[Mapping], domain) -> dict:
     sequence of sequences).  Returns a dict mapping each valuation profile
     to ``(allocation, payments)``.
     """
-    players = getattr(domain, "players", domain)
+    players = players_of(domain)
     for i, strategy in enumerate(strategies):
         for v in players[i]:
             if v not in strategy:
                 raise MechanismError(f"strategy of player {i} undefined for a domain valuation")
         validate_strategy(tree, i, {v: strategy[v] for v in players[i]})
-    table: dict = {}
-    for profile in itertools.product(*players):
-        behaviors = tuple(strategies[i][profile[i]] for i in range(tree.setting.n))
-        leaf_id, _ = run(tree, behaviors)
-        leaf = tree.nodes[leaf_id]
-        table[profile] = (leaf.allocation, leaf.payments)
-    return table
+    nodes = tree.nodes
+    return {profile: (nodes[leaf_id].allocation, nodes[leaf_id].payments)
+            for profile, _, leaf_id, _ in play_profiles(tree, strategies, players)}

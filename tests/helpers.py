@@ -127,6 +127,19 @@ def random_instance(rng: random.Random, max_depth=3, max_domain=3,
     return MechanismBundle(tree=tree, strategies=tuple(strategies), domain=domain)
 
 
+def divergence_domains(rng: random.Random, bundle: MechanismBundle) -> list:
+    """The bundle's domain and, when some player holds two valuations or more,
+    a sub-domain as plain lists: two of one such player's valuations, drawn by
+    ``rng``, and the first valuation of every other player."""
+    players = bundle.domain.players
+    domains = [bundle.domain]
+    several = [i for i, vs in enumerate(players) if len(vs) > 1]
+    if several:
+        i = rng.choice(several)
+        domains.append([rng.sample(vs, 2) if j == i else [vs[0]] for j, vs in enumerate(players)])
+    return domains
+
+
 @dataclass
 class WalkIndex:
     """Tree facts from plain recursion and a queue, independent of MechanismTree's index."""

@@ -40,6 +40,7 @@ from ospcheck.model import Leaf, MechanismError, MechanismTree
 
 from helpers import (
     MIXED_LEVELS,
+    divergence_domains,
     leaf_utility,
     oracle_bad_leaf_good_leaf,
     oracle_dsic,
@@ -514,6 +515,22 @@ def test_first_divergence():
     sub = Domain(setting=CA21, players=((fig1.domain.players[0][1],), fig1.domain.players[1]))
     div = first_divergence(fig1.tree, fig1.strategies, sub)
     assert div.player == 1 and div.vertex == "N3"
+
+
+def test_first_divergences_pinned():
+    """First divergences on seeded random instances, each on its full domain and
+    on a sub-domain of two valuations of one player, byte for byte."""
+    rng = random.Random(2222)
+    digest = hashlib.sha256()
+    found = 0
+    for _ in range(300):
+        bundle = random_instance(rng)
+        for domain in divergence_domains(rng, bundle):
+            div = first_divergence(bundle.tree, bundle.strategies, domain)
+            found += div is not None
+            digest.update(repr(div).encode() + b"\n")
+    assert found == 182
+    assert digest.hexdigest() == "b8f552f03bfbefa04b9c29e0920f4dddeb004b8fb54fa6d6aef58d5726866c68"
 
 
 def test_first_divergence_reports_shallowest_vertex():

@@ -1,5 +1,6 @@
 """Core tree model: building, running, attainability, realization."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from ospcheck import (
     attainable,
     build_tree,
     adversarial_domain,
+    Domain,
     grand_bundle_ascending,
     realize,
     run,
@@ -28,7 +30,8 @@ from ospcheck.model import (read_int, read_rational, validate_allocation, valida
                             validate_strategy)
 from ospcheck.serialize import parse_mechanism, serialize_mechanism
 
-from helpers import random_instance, random_setting, random_tree_spec, walk_index
+from helpers import (divergence_domains, random_instance, random_setting, random_tree_spec,
+                     walk_index)
 
 
 CA11 = AuctionSetting(kind="combinatorial", n=1, m=1)
@@ -233,6 +236,23 @@ def test_realize_totality_and_error():
     del missing[0][victim]
     with pytest.raises(MechanismError, match="undefined"):
         realize(bundle.tree, missing, bundle.domain)
+
+
+def test_realize_matches_run_per_profile():
+    """``realize`` holds, in product order, the outcome of a plain ``run`` under
+    every profile, on seeded instances' full domains and sub-domains."""
+    rng = random.Random(2222)
+    for _ in range(300):
+        bundle = random_instance(rng)
+        tree = bundle.tree
+        for domain in divergence_domains(rng, bundle):
+            players = domain.players if isinstance(domain, Domain) else domain
+            expected = {}
+            for profile in itertools.product(*players):
+                leaf_id, _ = run(tree, tuple(s[v] for s, v in zip(bundle.strategies, profile)))
+                leaf = tree.nodes[leaf_id]
+                expected[profile] = (leaf.allocation, leaf.payments)
+            assert list(realize(tree, bundle.strategies, domain).items()) == list(expected.items())
 
 
 def test_serialization_round_trip_structural_equality():
