@@ -130,9 +130,10 @@ class ExactValues:
     ``values[i][b]`` is player i's row of values, one per valuation, for
     bundle b.  Like it, the valid ``allocations`` (``enumerate_allocations``
     order) and ``rows[a][i]``, player i's row for her bundle in allocation a,
-    are built on first use, calling ``poll``, if set, every 4,096 allocations:
-    the search sets its deadline reader there.  ``welfare()`` generates the
-    summed values per profile, and ``ratio`` holds the OPT / SW convention.
+    are built on first use, calling ``poll``, if set, every 4,096 allocations,
+    as ``welfare()`` does while it opens its sums: the search sets its deadline
+    reader there.  ``welfare()`` generates the summed values per profile, and
+    ``ratio`` holds the OPT / SW convention.
     """
 
     def __init__(self, setting: AuctionSetting, players, payments):
@@ -169,7 +170,7 @@ class ExactValues:
         """Per profile, in product order, ``(sums, opt)``: every allocation's
         summed value there and the largest.  Generated, so no allocations x
         profiles table is kept."""
-        for sums in zip(*(map(sum, itertools.product(*rows)) for rows in self.rows)):
+        for sums in zip(*(map(sum, itertools.product(*rows)) for rows in self._polled(self.rows))):
             yield sums, max(sums)
 
     @staticmethod

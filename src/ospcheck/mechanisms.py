@@ -200,10 +200,8 @@ def grand_bundle_ascending(setting: AuctionSetting, K: int, domain: Domain = Non
             },
         }
 
-    if n == 1:
-        spec = leaf(0, 1)
-    else:
-        spec = build(1, tuple(range(n)), tuple(range(n)))
+    spec = leaf(0, 1) if n == 1 else build(1, tuple(range(n)), tuple(range(n)))
+    del build  # the closure refers to itself: a reference cycle until deleted
     tree = build_tree(spec, setting)
     return MechanismBundle(tree=tree, strategies=choices.tables(), domain=domain)
 
@@ -274,5 +272,6 @@ def serial_posted_price(x_l, x_h, setting: AuctionSetting, domain: Domain = None
         }
 
     spec = build(1, 0, tuple(range(m)), 0, tuple(() for _ in range(n)))
+    del build  # the closure refers to itself: a reference cycle until deleted
     tree = build_tree(spec, setting)
     return MechanismBundle(tree=tree, strategies=choices.tables(), domain=domain)

@@ -298,17 +298,17 @@ class _Scan:
         target; for an audited scan of the multi-unit fixture, also those where
         it misses min(m, n), and the payment bounds of ``_mu_fixture_bounds``
         as (flag, profile bit, bundle, scaled cap) entries.  The deadline is
-        read once before the first profile and once per profile."""
-        self._check_deadline()
+        read every 4,096 allocations in each profile."""
         bounds = None if self.beating_only else _mu_fixture_bounds(self.setting, self.players)
         self.audit_applicable = bounds is not None
         limits = (target,) if bounds is None else (target, min(self.setting.m, self.setting.n))
         misses = [[0] * len(self.rows) for _ in limits]
         ratio = self.values.ratio
         for p, (sums, opt) in enumerate(self.values.welfare()):
-            self._check_deadline()
             bit = 1 << p
             for a, sw in enumerate(sums):
+                if not a & 4095:
+                    self._check_deadline()
                 r = ratio(sw, opt)
                 for bits, bound in zip(misses, limits):
                     if r is None or r >= bound:

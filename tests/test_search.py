@@ -17,6 +17,7 @@ from ospcheck import (
     SearchSpace,
     SingleMindedMU,
     adversarial_domain,
+    ascending_single_item,
     build_tree,
     check_dsic,
     check_ir,
@@ -25,8 +26,11 @@ from ospcheck import (
     default_payment_grid,
     falsify_impossibility,
     first_divergence,
+    grand_bundle_ascending,
     mu_payment_bounds,
     scan_bad_leaf_good_leaf,
+    second_price_single_item,
+    serial_posted_price,
     welfare_ratio,
 )
 from ospcheck.checkers import _mu_fixture_bounds
@@ -443,9 +447,9 @@ def test_partitions_pinned():
 
 
 def test_scan_leaves_no_reference_cycle():
-    """With the cyclic collector off, parsing, building a tree, a refute scan,
-    an audited scan that materializes its counterexample and every checker
-    leave nothing for it to collect."""
+    """With the cyclic collector off, parsing, building a tree, the reference
+    constructors, a refute scan, an audited scan that materializes its
+    counterexample and every checker leave nothing for it to collect."""
     rng = random.Random(21)
     texts = [serialize_mechanism(random_instance(rng)) for _ in range(200)]
     space = SearchSpace(
@@ -454,6 +458,13 @@ def test_scan_leaves_no_reference_cycle():
     )
     checkers = (check_osp, check_dsic, check_ir, check_nnt, welfare_ratio,
                 scan_bad_leaf_good_leaf, first_divergence)
+    constructors = (
+        functools.partial(grand_bundle_ascending, MU22, 16, domain=space.domain),
+        functools.partial(grand_bundle_ascending, MU22, 12),
+        functools.partial(ascending_single_item, 6, n=3),
+        functools.partial(serial_posted_price, 1, 3, CA22),
+        functools.partial(second_price_single_item, 3),
+    )
     gc.collect()
     gc.disable()
     try:
@@ -461,6 +472,9 @@ def test_scan_leaves_no_reference_cycle():
         assert gc.collect() == 0
         build_tree({"allocation": [[0]], "payments": ["0"]}, CA11)
         assert gc.collect() == 0
+        for construct in constructors:
+            bundles.append(construct())
+            assert gc.collect() == 0
         verdict = falsify_impossibility(space, Fraction(2), audit_survivors=False)
         assert verdict.outcome == "counterexample"
         assert gc.collect() == 0
@@ -501,6 +515,33 @@ def test_budget_is_read_while_allocations_are_drawn(monkeypatch):
     verdict = falsify_impossibility(space, Fraction(2), budget_seconds=0.5)
     assert verdict.outcome == "budget-exhausted"
     assert passes_at <= drawn[0] <= passes_at + 4096
+
+
+def test_budget_is_read_while_predicates_are_scored(monkeypatch):
+    """The scan reads its deadline every 4,096 allocations while it scores each
+    profile's allocations against the target: once the deadline passes, at most
+    4,096 more of the 177,147 allocations of CA n = 2, m = 11 are scored."""
+    from ospcheck import search
+    from ospcheck.checkers import ExactValues
+
+    setting = AuctionSetting(kind="combinatorial", n=2, m=11)
+    vals = tuple(AdditiveValuation(values=tuple(Fraction((j + t) % 3) for j in range(11)))
+                 for t in range(3))
+    space = SearchSpace(domain=Domain(setting=setting, players=(vals, vals)),
+                        payment_grid=(Fraction(0), Fraction(1)))
+    scored, passes_at = [0], 10_000
+    ratio = ExactValues.ratio
+
+    def counted(sw, opt):
+        scored[0] += 1
+        return ratio(sw, opt)
+
+    monkeypatch.setattr(ExactValues, "ratio", staticmethod(counted))
+    monkeypatch.setattr(search, "time", SimpleNamespace(
+        monotonic=lambda: 0.0 if scored[0] < passes_at else 1.0))
+    verdict = falsify_impossibility(space, Fraction(2), budget_seconds=0.5)
+    assert verdict.outcome == "budget-exhausted"
+    assert passes_at <= scored[0] <= passes_at + 4096
 
 
 def test_zero_budget_builds_no_table(monkeypatch):
