@@ -200,7 +200,10 @@ def grand_bundle_ascending(setting: AuctionSetting, K: int, domain: Domain = Non
             },
         }
 
-    spec = leaf(0, 1) if n == 1 else build(1, tuple(range(n)), tuple(range(n)))
+    if n == 1:
+        spec = leaf(0, 1)
+    else:
+        spec = build(1, tuple(range(n)), tuple(range(n)))
     del build  # the closure refers to itself: a reference cycle until deleted
     tree = build_tree(spec, setting)
     return MechanismBundle(tree=tree, strategies=choices.tables(), domain=domain)

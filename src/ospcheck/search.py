@@ -298,7 +298,7 @@ class _Scan:
         target; for an audited scan of the multi-unit fixture, also those where
         it misses min(m, n), and the payment bounds of ``_mu_fixture_bounds``
         as (flag, profile bit, bundle, scaled cap) entries.  The deadline is
-        read every 4,096 allocations in each profile."""
+        read every 4,096 allocations, here and in ``values.welfare()``."""
         bounds = None if self.beating_only else _mu_fixture_bounds(self.setting, self.players)
         self.audit_applicable = bounds is not None
         limits = (target,) if bounds is None else (target, min(self.setting.m, self.setting.n))
