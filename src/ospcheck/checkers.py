@@ -44,9 +44,9 @@ from .model import (
     MechanismTree,
     bundle_contains,
     follow,
+    plans_of,
     play_profiles,
     players_of,
-    run,
 )
 from .valuations import Domain, SingleMindedMU, evaluate
 
@@ -130,10 +130,11 @@ class ExactValues:
     ``values[i][b]`` is player i's row of values, one per valuation, for
     bundle b.  Like it, the valid ``allocations`` (``enumerate_allocations``
     order) and ``rows[a][i]``, player i's row for her bundle in allocation a,
-    are built on first use, calling ``poll``, if set, every 4,096 allocations,
-    as ``welfare()`` does while it opens its sums: the search sets its deadline
-    reader there.  ``welfare()`` generates the summed values per profile, and
-    ``ratio`` holds the OPT / SW convention.
+    are built on first use.  Every loop over the allocations goes through
+    ``polled``, which calls ``poll``, if set, at the first allocation and every
+    4,096th: the search sets its deadline reader there and walks its own
+    tables through ``polled`` too.  ``welfare()`` generates the summed values
+    per profile, and ``ratio`` holds the OPT / SW convention.
     """
 
     def __init__(self, setting: AuctionSetting, players, payments):
@@ -147,14 +148,14 @@ class ExactValues:
 
     @functools.cached_property
     def allocations(self) -> tuple:
-        return tuple(self._polled(enumerate_allocations(self.setting)))
+        return tuple(self.polled(enumerate_allocations(self.setting)))
 
     @functools.cached_property
     def rows(self) -> list:
-        return [[self.values[i][b] for i, b in enumerate(a)] for a in self._polled(self.allocations)]
+        return [[self.values[i][b] for i, b in enumerate(a)] for a in self.polled(self.allocations)]
 
-    def _polled(self, items):
-        """``items``, calling ``poll()``, unless None, before every 4,096th."""
+    def polled(self, items):
+        """``items``, calling ``poll()``, unless None, before the first and every 4,096th."""
         for k, item in enumerate(items):
             if self.poll is not None and not k & 4095:
                 self.poll()
@@ -170,7 +171,7 @@ class ExactValues:
         """Per profile, in product order, ``(sums, opt)``: every allocation's
         summed value there and the largest.  Generated, so no allocations x
         profiles table is kept."""
-        for sums in zip(*(map(sum, itertools.product(*rows)) for rows in self._polled(self.rows))):
+        for sums in zip(*(map(sum, itertools.product(*rows)) for rows in self.polled(self.rows))):
             yield sums, max(sums)
 
     @staticmethod
@@ -364,9 +365,8 @@ def check_osp(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     :func:`check_dsic` to reuse.
     """
     table = _table(tree, domain)
-    for i, vs in enumerate(players_of(domain)):
-        for vi, v in enumerate(vs):
-            behavior = strategies[i][v]
+    for i, (vs, plans) in enumerate(zip(players_of(domain), plans_of(strategies, domain))):
+        for vi, (v, behavior) in enumerate(zip(vs, plans)):
             found = _plan_answer(tree, table, i, vi, behavior)
             if found is None:
                 continue
@@ -409,9 +409,8 @@ def check_dsic(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     switching to that notion would change verdicts and is not done here.
     """
     table = _table(tree, domain)
-    for i, vs in enumerate(players_of(domain)):
-        for vi, v in enumerate(vs):
-            behavior = strategies[i][v]
+    for i, (vs, plans) in enumerate(zip(players_of(domain), plans_of(strategies, domain))):
+        for vi, (v, behavior) in enumerate(zip(vs, plans)):
             if _plan_answer(tree, table, i, vi, behavior) is None:
                 continue
             u = table.utils[i][vi]
@@ -596,7 +595,6 @@ class PaymentBoundReport:
     winners_pay_at_most_one: bool
     all_units_winner: Optional[tuple]  # (player, payment) if someone wins all units
     all_units_within_square: Optional[bool]
-    k: Fraction
 
 
 def _mu_fixture_bounds(setting: AuctionSetting, players: tuple) -> Optional[tuple]:
@@ -637,8 +635,8 @@ def mu_payment_bounds(tree: MechanismTree, strategies: Sequence, domain: Domain)
     (all_one, one, cap_one), (spike, everything, square) = bounds
 
     def winners(profile, bundle) -> tuple:
-        behaviors = tuple(strategies[i][profile[i]] for i in range(setting.n))
-        leaf = tree.nodes[run(tree, behaviors)[0]]
+        ((_, _, leaf_id, _),) = play_profiles(tree, strategies, [(v,) for v in profile])
+        leaf = tree.nodes[leaf_id]
         return tuple(
             (i, pay) for i, (got, pay) in enumerate(zip(leaf.allocation, leaf.payments))
             if bundle_contains(setting, got, bundle)
@@ -651,5 +649,4 @@ def mu_payment_bounds(tree: MechanismTree, strategies: Sequence, domain: Domain)
         winners_pay_at_most_one=all(p <= cap_one for _, p in low),
         all_units_winner=all_units,
         all_units_within_square=None if all_units is None else all_units[1] <= square,
-        k=Fraction(max(setting.m, setting.n)),
     )

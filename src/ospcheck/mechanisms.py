@@ -20,6 +20,7 @@ from .model import (
     MechanismError,
     MechanismTree,
     build_tree,
+    plans_of,
     read_int,
     read_rational,
     validate_strategy,
@@ -45,10 +46,8 @@ class MechanismBundle:
     def __post_init__(self):
         if len(self.strategies) != self.tree.setting.n:
             raise MechanismError("need one strategy table per player")
+        plans_of(self.strategies, self.domain)
         for i, table in enumerate(self.strategies):
-            missing = [v for v in self.domain.players[i] if v not in table]
-            if missing:
-                raise MechanismError(f"strategy of player {i} misses domain valuations")
             validate_strategy(self.tree, i, table)
 
     def checker_args(self):
@@ -209,22 +208,15 @@ def grand_bundle_ascending(setting: AuctionSetting, K: int, domain: Domain = Non
     return MechanismBundle(tree=tree, strategies=choices.tables(), domain=domain)
 
 
-def ascending_single_item(K: int, n: int = 2, domain: Domain = None) -> MechanismBundle:
+def ascending_single_item(K: int, n: int = 2) -> MechanismBundle:
     """Ascending clock auction of a single item among ``n`` bidders."""
     K = read_int(K)
     setting = AuctionSetting(kind=COMBINATORIAL, n=n, m=1)
-    if domain is None:
-        domain = Domain(
-            setting=setting,
-            players=tuple(
-                tuple(AdditiveValuation(values=(Fraction(t),)) for t in range(1, K + 1))
-                for _ in range(n)
-            ),
-        )
-    return grand_bundle_ascending(setting, K, domain=domain)
+    values = tuple(AdditiveValuation(values=(Fraction(t),)) for t in range(1, K + 1))
+    return grand_bundle_ascending(setting, K, domain=Domain(setting=setting, players=(values,) * n))
 
 
-def serial_posted_price(x_l, x_h, setting: AuctionSetting, domain: Domain = None) -> MechanismBundle:
+def serial_posted_price(x_l, x_h, setting: AuctionSetting) -> MechanismBundle:
     """Two-round posted-price mechanism with every item priced at ``x_l``.
 
     Round one walks the players in index order; each is asked, item by
@@ -239,8 +231,7 @@ def serial_posted_price(x_l, x_h, setting: AuctionSetting, domain: Domain = None
         raise MechanismError("need 0 < x_l < x_h")
     if not setting.is_combinatorial:
         raise MechanismError("posted-price mechanism is combinatorial")
-    if domain is None:
-        domain = restricted_additive_domain(x_l, x_h, setting)
+    domain = restricted_additive_domain(x_l, x_h, setting)
     n, m = setting.n, setting.m
     choices = _Choices(domain)
     seq = itertools.count()

@@ -469,12 +469,26 @@ def players_of(domain) -> Sequence:
     return getattr(domain, "players", domain)
 
 
+def plans_of(strategies: Sequence[Mapping], domain) -> list:
+    """``plans[i][vi]``, player i's behavior for her vi-th domain valuation; MechanismError
+    unless there is one strategy table per player and each covers her valuations."""
+    players = players_of(domain)
+    if len(strategies) != len(players):
+        raise MechanismError("need one strategy table per player")
+    plans = [[table.get(v) for v in vs] for table, vs in zip(strategies, players)]
+    for i, plan in enumerate(plans):
+        if None in plan:
+            raise MechanismError(f"strategy of player {i} misses domain valuations: "
+                                 f"undefined for valuation {plan.index(None)}")
+    return plans
+
+
 def play_profiles(tree: MechanismTree, strategies: Sequence[Mapping], domain):
     """Yield ``(profile, behaviors, leaf_id, path)`` per profile of the domain, in
-    product order.  Plans are looked up once per player and valuation and walked
-    by position: hashing a valuation per profile would hash every ``Fraction``."""
+    product order.  Plans are looked up once (``plans_of``) and walked by position:
+    hashing a valuation per profile would hash every ``Fraction``."""
     players = players_of(domain)
-    plans = [[strategies[i][v] for v in vs] for i, vs in enumerate(players)]
+    plans = plans_of(strategies, players)
     for profile, behaviors in zip(itertools.product(*players), itertools.product(*plans)):
         leaf_id, path = run(tree, behaviors)
         yield profile, behaviors, leaf_id, path
@@ -489,11 +503,8 @@ def realize(tree: MechanismTree, strategies: Sequence[Mapping], domain) -> dict:
     to ``(allocation, payments)``.
     """
     players = players_of(domain)
-    for i, strategy in enumerate(strategies):
-        for v in players[i]:
-            if v not in strategy:
-                raise MechanismError(f"strategy of player {i} undefined for a domain valuation")
-        validate_strategy(tree, i, {v: strategy[v] for v in players[i]})
+    for i, (vs, plan) in enumerate(zip(players, plans_of(strategies, players))):
+        validate_strategy(tree, i, dict(zip(vs, plan)))
     nodes = tree.nodes
     return {profile: (nodes[leaf_id].allocation, nodes[leaf_id].payments)
             for profile, _, leaf_id, _ in play_profiles(tree, strategies, players)}

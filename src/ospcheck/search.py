@@ -297,22 +297,25 @@ class _Scan:
         """Per allocation, the bitset of the profiles where its ratio misses the
         target; for an audited scan of the multi-unit fixture, also those where
         it misses min(m, n), and the payment bounds of ``_mu_fixture_bounds``
-        as (flag, profile bit, bundle, scaled cap) entries.  The deadline is
-        read every 4,096 allocations, here and in ``values.welfare()``."""
+        as (flag, profile bit, bundle, scaled cap) entries.  ``values.ratio``
+        judges each distinct welfare sum of a profile once, and the deadline is
+        read through ``values.polled``, here and in ``values.welfare()``."""
         bounds = None if self.beating_only else _mu_fixture_bounds(self.setting, self.players)
         self.audit_applicable = bounds is not None
         limits = (target,) if bounds is None else (target, min(self.setting.m, self.setting.n))
         misses = [[0] * len(self.rows) for _ in limits]
-        ratio = self.values.ratio
+        ratio, polled = self.values.ratio, self.values.polled
+
+        def missed(opt: int, sw: int) -> tuple:
+            r = ratio(sw, opt)
+            return tuple(bits for bits, bound in zip(misses, limits) if r is None or r >= bound)
+
         for p, (sums, opt) in enumerate(self.values.welfare()):
             bit = 1 << p
-            for a, sw in enumerate(sums):
-                if not a & 4095:
-                    self._check_deadline()
-                r = ratio(sw, opt)
-                for bits, bound in zip(misses, limits):
-                    if r is None or r >= bound:
-                        bits[a] |= bit
+            judged = _AutoDict(functools.partial(missed, opt))
+            for a, sw in enumerate(polled(sums)):
+                for bits in judged[sw]:
+                    bits[a] |= bit
         self.misses_target = misses[0]
         if bounds is not None:
             self.misses_minmn = misses[1]
@@ -353,8 +356,7 @@ class _Scan:
         """Leaves at ``masks`` that keep IR and NNT on the profiles ``covered``:
         each payment lies between 0 and the payer's least value there.  A refute
         scan skips an allocation missing the target there, whatever it charges."""
-        for ai, rows in enumerate(self.rows):
-            self._check_deadline()
+        for ai, rows in enumerate(self.values.polled(self.rows)):
             if self.beating_only and covered & self.misses_target[ai]:
                 continue
             per_player = []
@@ -409,7 +411,6 @@ class _Scan:
         got = self.memo.get(masks)
         if got is not None:
             return got
-        self._check_deadline()
         table: dict = {}
 
         def insert(summary, word, count, desc) -> None:

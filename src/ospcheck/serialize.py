@@ -32,6 +32,7 @@ from .model import (
     MechanismError,
     MechanismTree,
     build_tree,
+    plans_of,
     read_field,
     read_int,
     read_list,
@@ -137,13 +138,10 @@ def bundle_to_json_doc(bundle: MechanismBundle) -> dict:
     doc = tree_to_json(bundle.tree)
     doc["strategies"] = [
         [
-            {
-                "valuation": valuation_to_json(v),
-                "behavior": dict(sorted(bundle.strategies[i][v].choices.items())),
-            }
-            for v in bundle.domain.players[i]
+            {"valuation": valuation_to_json(v), "behavior": dict(sorted(behavior.choices.items()))}
+            for v, behavior in zip(vs, plans)
         ]
-        for i in range(bundle.tree.setting.n)
+        for vs, plans in zip(bundle.domain.players, plans_of(bundle.strategies, bundle.domain))
     ]
     return doc
 

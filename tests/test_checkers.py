@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,6 +29,7 @@ from ospcheck import (
     grand_bundle_ascending,
     mu_payment_bounds,
     opt_welfare,
+    realize,
     run,
     scan_bad_leaf_good_leaf,
     second_price_single_item,
@@ -37,6 +39,7 @@ from ospcheck import (
 )
 from ospcheck import checkers
 from ospcheck.model import Leaf, MechanismError, MechanismTree
+from ospcheck.serialize import bundle_to_json_doc
 
 from helpers import (
     MIXED_LEVELS,
@@ -549,6 +552,34 @@ def test_mu_payment_bounds_rejects_foreign_domains():
     sp = serial_posted_price(1, 3, AuctionSetting(kind="combinatorial", n=2, m=2))
     with pytest.raises(ValueError, match="fixture"):
         mu_payment_bounds(*sp.checker_args())
+
+
+def test_malformed_strategies_raise_mechanism_error():
+    """A strategy list whose table misses a domain valuation, or that holds one
+    table for two players, is rejected with MechanismError by every function
+    that reads plans, not with a KeyError, an IndexError or a verdict."""
+    sp = second_price_single_item(2)
+    gb = grand_bundle_ascending(MU22, 16, domain=adversarial_domain(MU22, "mu-single-minded"))
+    readers = (check_ir, check_nnt, check_osp, check_dsic, welfare_ratio, scan_bad_leaf_good_leaf,
+               first_divergence, realize, MechanismBundle,
+               lambda *args: bundle_to_json_doc(SimpleNamespace(tree=args[0], strategies=args[1],
+                                                                domain=args[2])))
+    # player 0's valuation 1 is her last in the second-price domain, so an
+    # obviousness violation at her valuation 0 comes first; in the fixture it
+    # is one that both payment-bound profiles play
+    for bundle, vi, more in ((sp, 1, ()), (gb, 0, (mu_payment_bounds,))):
+        short = dict(bundle.strategies[0])
+        del short[bundle.domain.players[0][vi]]
+        malformed = (
+            ((short,) + bundle.strategies[1:],
+             f"strategy of player 0 misses domain valuations: undefined for valuation {vi}"),
+            (bundle.strategies[:1], "need one strategy table per player"),
+        )
+        for strategies, message in malformed:
+            for read in readers + more:
+                with pytest.raises(MechanismError) as caught:
+                    read(bundle.tree, strategies, bundle.domain)
+                assert message in str(caught.value), read
 
 
 def test_first_divergence_exists_for_low_ratio_mechanisms():

@@ -3,12 +3,14 @@
 import functools
 import gc
 import hashlib
+import itertools
 import random
 import time
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ospcheck import (
     AdditiveValuation,
@@ -33,7 +35,7 @@ from ospcheck import (
     serial_posted_price,
     welfare_ratio,
 )
-from ospcheck.checkers import _mu_fixture_bounds
+from ospcheck.checkers import ExactValues, _mu_fixture_bounds, enumerate_allocations, social_welfare
 from ospcheck.search import (
     LOW_VIOL,
     MISSES_MINMN,
@@ -357,6 +359,52 @@ def test_class_words_carry_only_read_bits(monkeypatch):
         MISSES_TARGET | MISSES_MINMN | SQUARE_VIOL)
 
 
+def _scored(space, bound) -> list:
+    """Per allocation, the bitset of the profiles where its ratio misses ``bound``:
+    one ``ExactValues.ratio`` per (profile, allocation), on ``Fraction`` welfare."""
+    allocations = list(enumerate_allocations(space.domain.setting))
+    misses = [0] * len(allocations)
+    for p, profile in enumerate(itertools.product(*space.domain.players)):
+        sums = [social_welfare(profile, a) for a in allocations]
+        opt = max(sums)
+        for a, sw in enumerate(sums):
+            ratio = ExactValues.ratio(sw, opt)
+            if ratio is None or ratio >= bound:
+                misses[a] |= 1 << p
+    return misses
+
+
+@st.composite
+def _small_spaces(draw):
+    setting = AuctionSetting(kind=draw(st.sampled_from(("combinatorial", "multi-unit"))),
+                             n=draw(st.integers(1, 2)), m=draw(st.integers(1, 2)))
+    if setting.is_combinatorial:
+        valuations = st.builds(AdditiveValuation, st.tuples(*[st.integers(0, 3)] * setting.m))
+    else:
+        valuations = st.builds(SingleMindedMU, st.integers(1, setting.m), st.integers(0, 3))
+    players = tuple(tuple(draw(st.lists(valuations, min_size=1, max_size=3, unique=True)))
+                    for _ in range(setting.n))
+    return SearchSpace(domain=Domain(setting=setting, players=players), payment_grid=ZERO_GRID)
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=_small_spaces(), target=st.sampled_from((Fraction(3, 2), Fraction(2), Fraction(3))))
+@example(space=SearchSpace(domain=Domain(setting=CA22, players=(
+    (AdditiveValuation((0, 0)), AdditiveValuation((1, 2))), (AdditiveValuation((0, 0)),))),
+    payment_grid=ZERO_GRID), target=Fraction(2))
+@example(space=SearchSpace(domain=adversarial_domain(MU22, "mu-single-minded"),
+                           payment_grid=ZERO_GRID), target=Fraction(3, 2))
+def test_predicates_match_per_pair_scoring(space, target):
+    """The scan judges each distinct welfare sum of a profile once; its miss
+    bitsets equal a scoring of every (profile, allocation) pair, 0/0 profiles
+    (an all-zero valuation per player) and the fixture's min(m, n) included."""
+    scan = _Scan(space, target)
+    assert scan.misses_target == _scored(space, target)
+    if scan.audit_applicable:
+        setting = space.domain.setting
+        assert scan.misses_minmn == _scored(space, min(setting.m, setting.n))
+
+
 def test_leaf_flags_read_the_declared_bounds():
     # a bound holds a bidder only if her bundle covers the declared one; the
     # scan lists no leaf that breaks IR, where that test never decides, so
@@ -510,11 +558,28 @@ def test_budget_is_read_while_allocations_are_drawn(monkeypatch):
             yield allocation
 
     monkeypatch.setattr(checkers, "enumerate_allocations", counted)
-    monkeypatch.setattr(search, "time", SimpleNamespace(
-        monotonic=lambda: 0.0 if drawn[0] < passes_at else 1.0))
+    monkeypatch.setattr(search, "time", _fake_clock(lambda: drawn[0] >= passes_at))
     verdict = falsify_impossibility(space, Fraction(2), budget_seconds=0.5)
     assert verdict.outcome == "budget-exhausted"
     assert passes_at <= drawn[0] <= passes_at + 4096
+
+
+def _fake_clock(passed):
+    """A stand-in for the ``time`` module that ``search`` reads: its clock
+    reads 0.0 until ``passed()`` holds or 60 real seconds have gone, 1.0
+    after, so a deadline that is never read fails the test instead of
+    letting the scan run on."""
+    real = time.monotonic
+    give_up = real() + 60
+    return SimpleNamespace(monotonic=lambda: 1.0 if passed() or real() >= give_up else 0.0)
+
+
+def _ca11_space():
+    setting = AuctionSetting(kind="combinatorial", n=2, m=11)
+    vals = tuple(AdditiveValuation(values=tuple(Fraction((j + t) % 3) for j in range(11)))
+                 for t in range(3))
+    return SearchSpace(domain=Domain(setting=setting, players=(vals, vals)),
+                       payment_grid=(Fraction(0), Fraction(1)))
 
 
 def test_budget_is_read_while_predicates_are_scored(monkeypatch):
@@ -524,24 +589,46 @@ def test_budget_is_read_while_predicates_are_scored(monkeypatch):
     from ospcheck import search
     from ospcheck.checkers import ExactValues
 
-    setting = AuctionSetting(kind="combinatorial", n=2, m=11)
-    vals = tuple(AdditiveValuation(values=tuple(Fraction((j + t) % 3) for j in range(11)))
-                 for t in range(3))
-    space = SearchSpace(domain=Domain(setting=setting, players=(vals, vals)),
-                        payment_grid=(Fraction(0), Fraction(1)))
     scored, passes_at = [0], 10_000
-    ratio = ExactValues.ratio
+    welfare = ExactValues.welfare
 
-    def counted(sw, opt):
-        scored[0] += 1
-        return ratio(sw, opt)
+    def counted(sums):
+        for sw in sums:
+            scored[0] += 1
+            yield sw
 
-    monkeypatch.setattr(ExactValues, "ratio", staticmethod(counted))
-    monkeypatch.setattr(search, "time", SimpleNamespace(
-        monotonic=lambda: 0.0 if scored[0] < passes_at else 1.0))
-    verdict = falsify_impossibility(space, Fraction(2), budget_seconds=0.5)
+    def counted_welfare(self):
+        for sums, opt in welfare(self):
+            yield counted(sums), opt
+
+    monkeypatch.setattr(ExactValues, "welfare", counted_welfare)
+    monkeypatch.setattr(search, "time", _fake_clock(lambda: scored[0] >= passes_at))
+    verdict = falsify_impossibility(_ca11_space(), Fraction(2), budget_seconds=0.5)
     assert verdict.outcome == "budget-exhausted"
     assert passes_at <= scored[0] <= passes_at + 4096
+
+
+def test_budget_is_read_while_leaves_are_listed(monkeypatch):
+    """The scan reads its deadline every 4,096 allocations while it walks a
+    position's allocations for leaves, also where a refute scan skips each one
+    without listing a leaf: once the deadline passes, at most 4,096 more of the
+    177,147 allocations of CA n = 2, m = 11 are walked."""
+    from ospcheck import search
+
+    walked, passes_at = [0], 10_000
+
+    class Walked(list):
+        def __iter__(self):
+            for rows in super().__iter__():
+                walked[0] += 1
+                yield rows
+
+    monkeypatch.setattr(search, "time", _fake_clock(lambda: walked[0] >= passes_at))
+    scan = _Scan(_ca11_space(), Fraction(2), deadline=0.5, beating_only=True)
+    scan.rows = Walked(scan.rows)
+    with pytest.raises(search._BudgetExceeded):
+        scan.classes(scan.full)
+    assert passes_at <= walked[0] <= passes_at + 4096
 
 
 def test_zero_budget_builds_no_table(monkeypatch):
