@@ -17,7 +17,8 @@ carry the exact ``Fraction`` values.  The table's values, welfare sums and
 OPT / SW convention are those of ``ExactValues``, which the search
 (``search._Scan``) reads too, so both judge a ratio by one definition.
 ``opt_welfare``, ``social_welfare`` and ``mu_payment_bounds`` read
-``Fraction`` values and stay independent of it.
+``Fraction`` values and stay independent of it; ``mu_payment_bounds`` reads
+the fixture's table, ``valuations._mu_fixture_bounds``, as the search does.
 
 The table holds each player's utilities under each valuation as one list in
 preorder leaf order, and a subtree's leaves are one slice of it
@@ -48,7 +49,7 @@ from .model import (
     play_profiles,
     players_of,
 )
-from .valuations import Domain, SingleMindedMU, evaluate
+from .valuations import Domain, _mu_fixture_bounds, evaluate
 
 
 def utility(valuation, bundle, payment) -> Fraction:
@@ -365,7 +366,7 @@ def check_osp(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     :func:`check_dsic` to reuse.
     """
     table = _table(tree, domain)
-    for i, (vs, plans) in enumerate(zip(players_of(domain), plans_of(strategies, domain))):
+    for i, (vs, plans) in enumerate(zip(players_of(domain), plans_of(tree, strategies, domain))):
         for vi, (v, behavior) in enumerate(zip(vs, plans)):
             found = _plan_answer(tree, table, i, vi, behavior)
             if found is None:
@@ -409,7 +410,7 @@ def check_dsic(tree: MechanismTree, strategies: Sequence, domain) -> Verdict:
     switching to that notion would change verdicts and is not done here.
     """
     table = _table(tree, domain)
-    for i, (vs, plans) in enumerate(zip(players_of(domain), plans_of(strategies, domain))):
+    for i, (vs, plans) in enumerate(zip(players_of(domain), plans_of(tree, strategies, domain))):
         for vi, (v, behavior) in enumerate(zip(vs, plans)):
             if _plan_answer(tree, table, i, vi, behavior) is None:
                 continue
@@ -597,38 +598,15 @@ class PaymentBoundReport:
     all_units_within_square: Optional[bool]
 
 
-def _mu_fixture_bounds(setting: AuctionSetting, players: tuple) -> Optional[tuple]:
-    """Payment bounds of the adversarial multi-unit fixture, as entries
-    ``(profile, bundle, cap)``: at ``profile`` a bidder whose bundle covers
-    ``bundle`` (``model.bundle_contains``) pays at most ``cap``.  At the
-    all-one profile, every player holding the one-unit value-1 valuation,
-    any winner pays at most 1; at the spike profile, where the first player
-    who can demand all m units at value k^4 holds that valuation instead, a
-    winner of all m units pays at most k^2.  None off the fixture.
-    """
-    if setting.is_combinatorial:
-        return None
-    k = Fraction(max(setting.m, setting.n))
-    one = SingleMindedMU(quantity=1, value=Fraction(1))
-    all_v = SingleMindedMU(quantity=setting.m, value=k**4)
-    if any(one not in vs for vs in players):
-        return None
-    featured = next((i for i, vs in enumerate(players) if all_v in vs), None)
-    if featured is None:
-        return None
-    all_one = tuple(one for _ in players)
-    spike = tuple(all_v if i == featured else one for i in range(len(players)))
-    return (all_one, 1, Fraction(1)), (spike, setting.m, k**2)
-
-
 def mu_payment_bounds(tree: MechanismTree, strategies: Sequence, domain: Domain) -> PaymentBoundReport:
-    """Check the payment bounds of ``_mu_fixture_bounds`` on one mechanism.
+    """Check the payment bounds of ``valuations._mu_fixture_bounds`` on one mechanism.
 
     Any winner at the all-one profile pays at most 1, and a winner of all m
     units at the spike profile at most k^2; that second bound presumes the
     mechanism's ratio beats min(m, n), which the caller establishes.
     """
     setting = tree.setting
+    plans_of(tree, strategies, domain)
     bounds = _mu_fixture_bounds(setting, players_of(domain))
     if bounds is None:
         raise ValueError("domain is not the adversarial multi-unit fixture")

@@ -44,9 +44,7 @@ class MechanismBundle:
     domain: Domain
 
     def __post_init__(self):
-        if len(self.strategies) != self.tree.setting.n:
-            raise MechanismError("need one strategy table per player")
-        plans_of(self.strategies, self.domain)
+        plans_of(self.tree, self.strategies, self.domain)
         for i, table in enumerate(self.strategies):
             validate_strategy(self.tree, i, table)
 

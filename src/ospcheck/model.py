@@ -469,9 +469,12 @@ def players_of(domain) -> Sequence:
     return getattr(domain, "players", domain)
 
 
-def plans_of(strategies: Sequence[Mapping], domain) -> list:
+def plans_of(tree: MechanismTree, strategies: Sequence[Mapping], domain) -> list:
     """``plans[i][vi]``, player i's behavior for her vi-th domain valuation; MechanismError
-    unless there is one strategy table per player and each covers her valuations."""
+    unless a ``Domain`` is over the tree's setting, there is one strategy table per
+    player and each covers her valuations."""
+    if getattr(domain, "setting", tree.setting) != tree.setting:
+        raise MechanismError(f"domain is over {domain.setting}, the tree over {tree.setting}")
     players = players_of(domain)
     if len(strategies) != len(players):
         raise MechanismError("need one strategy table per player")
@@ -488,7 +491,7 @@ def play_profiles(tree: MechanismTree, strategies: Sequence[Mapping], domain):
     product order.  Plans are looked up once (``plans_of``) and walked by position:
     hashing a valuation per profile would hash every ``Fraction``."""
     players = players_of(domain)
-    plans = plans_of(strategies, players)
+    plans = plans_of(tree, strategies, domain)
     for profile, behaviors in zip(itertools.product(*players), itertools.product(*plans)):
         leaf_id, path = run(tree, behaviors)
         yield profile, behaviors, leaf_id, path
@@ -503,8 +506,8 @@ def realize(tree: MechanismTree, strategies: Sequence[Mapping], domain) -> dict:
     to ``(allocation, payments)``.
     """
     players = players_of(domain)
-    for i, (vs, plan) in enumerate(zip(players, plans_of(strategies, players))):
+    for i, (vs, plan) in enumerate(zip(players, plans_of(tree, strategies, domain))):
         validate_strategy(tree, i, dict(zip(vs, plan)))
     nodes = tree.nodes
     return {profile: (nodes[leaf_id].allocation, nodes[leaf_id].payments)
-            for profile, _, leaf_id, _ in play_profiles(tree, strategies, players)}
+            for profile, _, leaf_id, _ in play_profiles(tree, strategies, domain)}

@@ -68,8 +68,8 @@ The scan judges a tree by its violation word, an int with one bit per miss:
 ``MISSES_TARGET`` or ``MISSES_MINMN`` when on some profile its ratio, read
 from ``checkers.ExactValues`` as ``welfare_ratio`` reads it, is unbounded or
 not below the target or min(m, n); ``LOW_VIOL`` or ``SQUARE_VIOL`` when the
-first or second payment bound of ``checkers._mu_fixture_bounds`` (the table
-that ``mu_payment_bounds`` reads) fails.  A leaf's word comes from the
+first or second payment bound of ``valuations._mu_fixture_bounds`` (the
+table ``mu_payment_bounds`` reads) fails.  A leaf's word comes from the
 profiles it covers (``_Scan.leaf_flags``, from one predicate table built per
 call), and a tree's is the OR of its leaves'; its leaves cover disjoint
 profile sets whose union is every profile reaching the tree, so the OR is
@@ -109,10 +109,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .checkers import ExactValues, _AutoDict, _mu_fixture_bounds
+from .checkers import ExactValues, _AutoDict
 from .mechanisms import MechanismBundle, _Choices
 from .model import build_tree, bundle_contains, read_rational, read_seconds
-from .valuations import Domain
+from .valuations import Domain, _mu_fixture_bounds
 
 GRID_CAVEAT = (
     "verdict is relative to the declared normalized class and its finite payment "
@@ -296,10 +296,10 @@ class _Scan:
     def _build_predicates(self, target: Fraction) -> None:
         """Per allocation, the bitset of the profiles where its ratio misses the
         target; for an audited scan of the multi-unit fixture, also those where
-        it misses min(m, n), and the payment bounds of ``_mu_fixture_bounds``
-        as (flag, profile bit, bundle, scaled cap) entries.  ``values.ratio``
-        judges each distinct welfare sum of a profile once, and the deadline is
-        read through ``values.polled``, here and in ``values.welfare()``."""
+        it misses min(m, n), and the payment bounds of
+        ``valuations._mu_fixture_bounds`` as (flag, profile bit, bundle, scaled
+        cap) entries.  ``values.ratio`` judges each distinct welfare sum of a
+        profile once, and the deadline is read through ``values.polled``."""
         bounds = None if self.beating_only else _mu_fixture_bounds(self.setting, self.players)
         self.audit_applicable = bounds is not None
         limits = (target,) if bounds is None else (target, min(self.setting.m, self.setting.n))

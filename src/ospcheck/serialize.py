@@ -141,7 +141,7 @@ def bundle_to_json_doc(bundle: MechanismBundle) -> dict:
             {"valuation": valuation_to_json(v), "behavior": dict(sorted(behavior.choices.items()))}
             for v, behavior in zip(vs, plans)
         ]
-        for vs, plans in zip(bundle.domain.players, plans_of(bundle.strategies, bundle.domain))
+        for vs, plans in zip(bundle.domain.players, plans_of(bundle.tree, bundle.strategies, bundle.domain))
     ]
     return doc
 

@@ -289,6 +289,14 @@ class Domain:
 ADVERSARIAL_FAMILIES = ("mu-single-minded", "ca-single-minded", "additive", "unit-demand")
 
 
+def _mu_featured(setting: AuctionSetting) -> tuple:
+    """One unit at 1 (everyone's), one unit at k^2 + 1, all m units at k^4; k = max(m, n)."""
+    k = Fraction(max(setting.m, setting.n))
+    return (SingleMindedMU(quantity=1, value=Fraction(1)),
+            SingleMindedMU(quantity=1, value=k**2 + 1),
+            SingleMindedMU(quantity=setting.m, value=k**4))
+
+
 def adversarial_domain(setting: AuctionSetting, family: str, featured=(0, 1)) -> Domain:
     """The exact valuation subsets driving the lower-bound arguments.
 
@@ -315,15 +323,8 @@ def adversarial_domain(setting: AuctionSetting, family: str, featured=(0, 1)) ->
         raise ValuationError("featured players must have distinct target items")
 
     if family == "mu-single-minded":
-        one = SingleMindedMU(quantity=1, value=Fraction(1))
-        featured_set = (
-            one,
-            SingleMindedMU(quantity=1, value=k**2 + 1),
-            SingleMindedMU(quantity=m, value=k**4),
-        )
-        players = [
-            featured_set if i in (a, b) else (one,) for i in range(n)
-        ]
+        featured_set = _mu_featured(setting)
+        players = [featured_set if i in (a, b) else featured_set[:1] for i in range(n)]
         return Domain(setting=setting, players=tuple(players))
 
     if family == "ca-single-minded":
@@ -366,6 +367,26 @@ def adversarial_domain(setting: AuctionSetting, family: str, featured=(0, 1)) ->
         else:
             players.append((single(t_own, Fraction(1)),))
     return Domain(setting=setting, players=tuple(players))
+
+
+def _mu_fixture_bounds(setting: AuctionSetting, players: tuple) -> tuple | None:
+    """Payment bounds of the adversarial multi-unit fixture, as entries
+    ``(profile, bundle, cap)``: at ``profile`` a bidder whose bundle covers
+    ``bundle`` (``model.bundle_contains``) pays at most ``cap``.  At the
+    all-one profile, every player holding the one-unit value-1 valuation,
+    any winner pays at most 1; at the spike profile, where the first player
+    who can demand all m units at value k^4 holds that valuation instead, a
+    winner of all m units pays at most k^2.  None off the fixture; n = 1 or
+    m = 1, which ``adversarial_domain`` refuses, is read too.
+    """
+    one, _, all_v = _mu_featured(setting)
+    featured = next((i for i, vs in enumerate(players) if all_v in vs), None)
+    if setting.is_combinatorial or featured is None or any(one not in vs for vs in players):
+        return None
+    all_one = tuple(one for _ in players)
+    spike = tuple(all_v if i == featured else one for i in range(len(players)))
+    k = Fraction(max(setting.m, setting.n))
+    return (all_one, 1, Fraction(1)), (spike, setting.m, k**2)
 
 
 def restricted_additive_domain(x_l, x_h, setting: AuctionSetting) -> Domain:

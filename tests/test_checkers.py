@@ -582,6 +582,23 @@ def test_malformed_strategies_raise_mechanism_error():
                 assert message in str(caught.value), read
 
 
+def test_domain_over_another_setting_raises_mechanism_error():
+    """A domain declared over another setting than the tree's is refused by
+    every function that reads plans, even where it holds the very valuations
+    the strategies cover: the two-unit clocks' own valuations, declared over
+    three units."""
+    mu23 = AuctionSetting(kind="multi-unit", n=2, m=3)
+    gb = grand_bundle_ascending(MU22, 3)
+    fixture = grand_bundle_ascending(MU22, 16, domain=adversarial_domain(MU22, "mu-single-minded"))
+    for bundle, readers in ((gb, (check_osp, check_dsic, check_ir, check_nnt, welfare_ratio,
+                                  scan_bad_leaf_good_leaf, first_divergence, realize, MechanismBundle)),
+                            (fixture, (mu_payment_bounds,))):
+        other = Domain(setting=mu23, players=bundle.domain.players)
+        for read in readers:
+            with pytest.raises(MechanismError, match="n=2, m=3.*n=2, m=2"):
+                read(bundle.tree, bundle.strategies, other)
+
+
 def test_first_divergence_exists_for_low_ratio_mechanisms():
     # profiles (all, one) and (one, all) must part ways in any mechanism
     # whose ratio beats min(m, n); the clock auction's do

@@ -550,3 +550,18 @@ def test_player_count_costs_no_memory_before_a_leaf(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 2 and not out and "one bundle per player" in err, err
     assert peak < 20 * 2**20, peak
+
+
+def test_domain_over_another_setting_exits_2(tmp_path, capsys):
+    # the two-unit clock's own valuations, declared over three units
+    from ospcheck import AuctionSetting, Domain, grand_bundle_ascending
+    from ospcheck.serialize import serialize_domain, serialize_mechanism
+
+    gb = grand_bundle_ascending(AuctionSetting(kind="multi-unit", n=2, m=2), 3)
+    mech, dom = tmp_path / "gb.json", tmp_path / "d23.json"
+    mech.write_text(serialize_mechanism(gb))
+    three = AuctionSetting(kind="multi-unit", n=2, m=3)
+    dom.write_text(serialize_domain(Domain(setting=three, players=gb.domain.players)))
+    for command in ("ratio", "verify"):
+        code, out, err = run_cli(capsys, command, "--mechanism", str(mech), "--domain", str(dom))
+        assert code == 2 and not out and "domain is over" in err

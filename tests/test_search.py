@@ -631,6 +631,31 @@ def test_budget_is_read_while_leaves_are_listed(monkeypatch):
     assert passes_at <= walked[0] <= passes_at + 4096
 
 
+def test_budget_is_read_while_a_bucket_is_folded(monkeypatch):
+    """The join reads its deadline every 4,096 candidates while it folds one
+    bucket: on the bare MU22 fixture, whose largest bucket allows 6,735
+    candidates, a deadline that passes at the first candidate of the first
+    bucket allowing more than 4,096 stops the scan within 4,096 of them."""
+    from ospcheck import search
+
+    set_bits, drawn = search._set_bits, []
+
+    def counted(bits):
+        big = not drawn and bits.bit_count() > 4096
+        for i in set_bits(bits):
+            if big:
+                drawn.append(i)
+            yield i
+
+    monkeypatch.setattr(search, "_set_bits", counted)
+    monkeypatch.setattr(search, "time", _fake_clock(lambda: bool(drawn)))
+    space = SearchSpace(domain=adversarial_domain(MU22, "mu-single-minded"),
+                        payment_grid=default_payment_grid(MU22))
+    verdict = falsify_impossibility(space, Fraction(2), budget_seconds=0.5)
+    assert verdict.outcome == "budget-exhausted"
+    assert 1 <= len(drawn) <= 4096
+
+
 def test_zero_budget_builds_no_table(monkeypatch):
     """The scan builds its tables inside the budget: under a zero budget it
     reads at most one profile's welfare, and reports the audit and progress of

@@ -1,8 +1,10 @@
 """Valuation families, adversarial fixtures, restricted domains."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,9 @@ from ospcheck import (
     make_valuation,
     restricted_additive_domain,
 )
-from ospcheck.valuations import FAMILIES
+from ospcheck import checkers, search
+from ospcheck.serialize import serialize_domain
+from ospcheck.valuations import ADVERSARIAL_FAMILIES, FAMILIES, _mu_fixture_bounds
 
 CA22 = AuctionSetting(kind="combinatorial", n=2, m=2)
 MU22 = AuctionSetting(kind="multi-unit", n=2, m=2)
@@ -264,3 +268,38 @@ def test_valuation_input_errors():
         with pytest.raises(ValuationError) as caught:
             make()
         assert message in str(caught.value)
+
+
+def test_fixture_is_stated_once():
+    """The adversarial domains and the multi-unit payment-bound table, byte for
+    byte: (a) every adversarial domain of both kinds, 2 <= n, m <= 4, three
+    featured pairs (none of them refused); (b) the table read off each of them and off MU domains
+    with n = 1 or m = 1, which ``adversarial_domain`` refuses.  (c) The search
+    and the checkers build no valuation of their own."""
+    domains, texts = [], hashlib.sha256()
+    for kind, n, m in itertools.product(("multi-unit", "combinatorial"), range(2, 5), range(2, 5)):
+        setting = AuctionSetting(kind=kind, n=n, m=m)
+        for family in ADVERSARIAL_FAMILIES:
+            if (family == "mu-single-minded") != (kind == "multi-unit"):
+                continue
+            for featured in ((0, 1), (1, 0), (0, n - 1)):
+                dom = adversarial_domain(setting, family, featured)
+                texts.update(serialize_domain(dom).encode())
+                domains.append((setting, dom.players))
+    one = SingleMindedMU(quantity=1, value=Fraction(1))
+    for n, m in ((1, 1), (1, 2), (2, 1), (1, 3)):
+        top = SingleMindedMU(quantity=m, value=Fraction(max(m, n)) ** 4)
+        first = (one,) if top == one else (one, top)
+        domains.append((AuctionSetting(kind="multi-unit", n=n, m=m), (first,) + ((one,),) * (n - 1)))
+    tables = hashlib.sha256()
+    for setting, players in domains:
+        tables.update(repr(_mu_fixture_bounds(setting, players)).encode())
+    assert (texts.hexdigest(), tables.hexdigest()) == (
+        "703fb16dfb77a6af5fe5879253df7a4930567a6234769eb4686f759dd19acf06",
+        "3c3c230ce36198757293979a569be5c0c92211582338b1e9890a3c8109442e41",
+    )
+    constructor = re.compile(
+        r"\b(AdditiveValuation|UnitDemandValuation|SingleMindedCA|SingleMindedMU|GeneralCA|GeneralMU)\(")
+    for module in (search, checkers):
+        with open(module.__file__, encoding="utf-8") as source:
+            assert not constructor.findall(source.read()), module.__name__
